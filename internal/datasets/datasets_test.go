@@ -2,6 +2,8 @@ package datasets
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -109,6 +111,26 @@ func TestSplit(t *testing.T) {
 	}
 	if train.X.NNZ()+valid.X.NNZ() != ds.X.NNZ() {
 		t.Fatal("split lost entries")
+	}
+	// Each part holds the source rows in shuffled order, bit for bit, in
+	// arrays sized exactly to its nnz.
+	perm := rand.New(rand.NewSource(7)).Perm(100)
+	for _, part := range []struct {
+		d   *Dataset
+		ids []int
+	}{{train, perm[:80]}, {valid, perm[80:]}} {
+		x := part.d.X
+		if cap(x.Feat) != x.NNZ() || cap(x.Val) != x.NNZ() || cap(x.RowPtr) != x.Rows()+1 {
+			t.Errorf("%s: capacities %d/%d/%d for nnz %d and %d rows", part.d.Name,
+				cap(x.Feat), cap(x.Val), cap(x.RowPtr), x.NNZ(), x.Rows())
+		}
+		for k, i := range part.ids {
+			gf, gv := x.Row(k)
+			wf, wv := ds.X.Row(i)
+			if !slices.Equal(gf, wf) || !slices.Equal(gv, wv) || part.d.Labels[k] != ds.Labels[i] {
+				t.Fatalf("%s row %d differs from source row %d", part.d.Name, k, i)
+			}
+		}
 	}
 }
 

@@ -223,28 +223,35 @@ func SyntheticRegression(n, d int, density float64, noise float64, seed int64) (
 }
 
 // Split partitions the dataset into train and validation parts by a
-// deterministic shuffled split. frac is the training fraction.
+// deterministic shuffled split. frac is the training fraction. Each part's
+// rows are copied as stored, into arrays sized to the part's nnz.
 func (d *Dataset) Split(frac float64, seed int64) (train, valid *Dataset) {
 	n := d.NumInstances()
 	perm := rand.New(rand.NewSource(seed)).Perm(n)
 	nTrain := int(frac * float64(n))
 	build := func(ids []int, suffix string) *Dataset {
-		b := sparse.NewCSRBuilder(d.NumFeatures())
-		labels := make([]float32, 0, len(ids))
+		nnz := 0
 		for _, i := range ids {
-			feat, val := d.X.Row(i)
-			kvs := make([]sparse.KV, len(feat))
-			for k := range feat {
-				kvs[k] = sparse.KV{Index: feat[k], Value: val[k]}
-			}
-			if err := b.AddRow(kvs); err != nil {
-				panic(err) // indices already validated by source matrix
-			}
-			labels = append(labels, d.Labels[i])
+			nnz += d.X.RowNNZ(i)
+		}
+		rowPtr := make([]int64, 1, len(ids)+1)
+		feat := make([]uint32, 0, nnz)
+		val := make([]float32, 0, nnz)
+		labels := make([]float32, len(ids))
+		for k, i := range ids {
+			f, v := d.X.Row(i)
+			feat = append(feat, f...)
+			val = append(val, v...)
+			rowPtr = append(rowPtr, int64(len(feat)))
+			labels[k] = d.Labels[i]
+		}
+		x, err := sparse.NewCSR(len(ids), d.NumFeatures(), rowPtr, feat, val)
+		if err != nil {
+			panic(err) // unreachable: the rows come from a valid matrix
 		}
 		out := &Dataset{
 			Name:     d.Name + suffix,
-			X:        b.Build(),
+			X:        x,
 			Labels:   labels,
 			NumClass: d.NumClass,
 			Task:     d.Task,

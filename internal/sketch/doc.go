@@ -9,6 +9,13 @@
 // merged into a global sketch, Section 4.2.1 step 1). Merging two sketches
 // with errors eps1 and eps2 yields a sketch with error at most eps1+eps2.
 //
+// Inserts are buffered and folded into the tuple list about every
+// 1/(2*eps) values. The fold (flush) sorts the buffer and merges it into
+// the tuple list in place, from the back, so the list is only reallocated
+// when the merged length passes its high-water mark: once a sketch's size
+// has settled, Add does not allocate. Canonical therefore allocates a
+// small number of times per non-empty feature, not per value.
+//
 // Two consumers drive the sketch:
 //
 //   - Canonical builds one sketch per feature by inserting values in

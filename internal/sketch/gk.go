@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -34,7 +35,7 @@ func New(eps float64) *GK {
 	if cap < 16 {
 		cap = 16
 	}
-	return &GK{eps: eps, bufCap: cap, mergeE: 1}
+	return &GK{eps: eps, buf: make([]float64, 0, cap), bufCap: cap, mergeE: 1}
 }
 
 // Eps returns the nominal error bound the sketch was created with.
@@ -59,34 +60,38 @@ func (s *GK) Add(v float64) {
 	}
 }
 
-// flush folds buffered values into the tuple list and compresses.
+// flush folds buffered values into the tuple list and compresses. The
+// sorted buffer is merged into s.tuples in place, from the back, so a
+// steady-state flush allocates nothing: the slice only grows when the
+// merged length passes its high-water mark.
 func (s *GK) flush() {
 	if len(s.buf) == 0 {
 		return
 	}
 	sort.Float64s(s.buf)
-	// Merge the sorted buffer into the sorted tuple list in one pass.
-	out := make([]tuple, 0, len(s.tuples)+len(s.buf))
-	ti := 0
-	for _, v := range s.buf {
-		for ti < len(s.tuples) && s.tuples[ti].v < v {
-			out = append(out, s.tuples[ti])
-			ti++
+	n0, old := s.n, len(s.tuples)
+	s.tuples = slices.Grow(s.tuples, len(s.buf))[:old+len(s.buf)]
+	ti, w := old, len(s.tuples)
+	for j := len(s.buf) - 1; j >= 0; j-- {
+		v := s.buf[j]
+		// New values go before old tuples of the same value.
+		for ti > 0 && s.tuples[ti-1].v >= v {
+			ti--
+			w--
+			s.tuples[w] = s.tuples[ti]
 		}
-		s.n++
+		// A new minimum (nothing below v), or a value past the current end
+		// of the summary (no old tuple >= v): at insertion time it is a
+		// running extreme, so its rank is known exactly (delta = 0). v is
+		// the (j+1)-th insert of this flush.
 		var delta int64
-		if len(out) == 0 || ti >= len(s.tuples) {
-			// A new minimum, or a value inserted past the current end of
-			// the summary: at insertion time it is a running maximum, so
-			// its rank is known exactly (delta = 0).
-			delta = 0
-		} else {
-			delta = int64(2 * s.eps * float64(s.n))
+		if (j > 0 || ti > 0) && ti < old {
+			delta = int64(2 * s.eps * float64(n0+int64(j)+1))
 		}
-		out = append(out, tuple{v: v, g: 1, delta: delta})
+		w--
+		s.tuples[w] = tuple{v: v, g: 1, delta: delta}
 	}
-	out = append(out, s.tuples[ti:]...)
-	s.tuples = out
+	s.n = n0 + int64(len(s.buf))
 	s.buf = s.buf[:0]
 	s.compress()
 }

@@ -242,3 +242,50 @@ func BenchmarkAdd(b *testing.B) {
 		s.Add(rng.Float64())
 	}
 }
+
+func TestAddSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	s := New(0.01)
+	for i := 0; i < 200000; i++ {
+		s.Add(rng.NormFloat64())
+	}
+	// AllocsPerRun truncates its average to an integer, so time batches
+	// of many flushes: one allocation per flush would read as ~19 here.
+	got := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 1000; i++ {
+			s.Add(rng.NormFloat64())
+		}
+	})
+	if got != 0 {
+		t.Fatalf("1000 steady-state Adds allocate %v times, want 0", got)
+	}
+}
+
+func TestCanonicalAllocs(t *testing.T) {
+	// 20000 rows of 5 columns at 60% density: about 12000 values per
+	// feature, so an allocation per flush would cost ~235 per feature.
+	// What remains per feature is the GK, its buffer and the few times the
+	// tuple list passes its high-water mark (each growth counts twice
+	// under the race detector).
+	x := goldenMatrix(t, 20000)
+	var sks []*GK
+	allocs := testing.AllocsPerRun(5, func() { sks = Canonical(x, 0.01) })
+	nonEmpty := 0
+	for _, s := range sks {
+		if s != nil {
+			nonEmpty++
+		}
+	}
+	if limit := float64(12*nonEmpty + 1); allocs > limit {
+		t.Fatalf("Canonical made %v allocations for %d non-empty features (nnz %d), want <= %v",
+			allocs, nonEmpty, x.NNZ(), limit)
+	}
+}
+
+func BenchmarkCanonical(b *testing.B) {
+	x := goldenMatrix(b, 20000)
+	b.ReportAllocs()
+	for b.Loop() {
+		Canonical(x, 0.01)
+	}
+}

@@ -11,8 +11,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // KV is one (feature, value) pair of a row, or one (instance, value) pair
@@ -83,6 +84,7 @@ type CSRBuilder struct {
 	rowPtr []int64
 	feat   []uint32
 	val    []float32
+	sorted []KV // AddRow's scratch: the row being added, sorted by Index
 }
 
 // NewCSRBuilder returns a builder for matrices with the given number of
@@ -94,9 +96,9 @@ func NewCSRBuilder(cols int) *CSRBuilder {
 // AddRow appends one instance. Pairs need not be sorted; they are sorted by
 // feature index. Duplicate or out-of-range feature indices are an error.
 func (b *CSRBuilder) AddRow(kvs []KV) error {
-	sorted := make([]KV, len(kvs))
-	copy(sorted, kvs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
+	sorted := append(b.sorted[:0], kvs...)
+	b.sorted = sorted
+	slices.SortFunc(sorted, func(x, y KV) int { return cmp.Compare(x.Index, y.Index) })
 	for i, kv := range sorted {
 		if int(kv.Index) >= b.cols {
 			return fmt.Errorf("sparse: feature index %d out of range (cols=%d)", kv.Index, b.cols)

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -39,29 +40,47 @@ func TestCSRBuilderBasics(t *testing.T) {
 
 func TestCSRBuilderSortsRows(t *testing.T) {
 	b := NewCSRBuilder(10)
-	if err := b.AddRow([]KV{{7, 1}, {2, 2}, {5, 3}}); err != nil {
+	first := []KV{{7, 1}, {2, 2}, {5, 3}}
+	if err := b.AddRow(first); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.AddRow([]KV{{9, 4}, {0, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if first[0] != (KV{7, 1}) || first[1] != (KV{2, 2}) || first[2] != (KV{5, 3}) {
+		t.Fatalf("AddRow reordered the caller's slice: %v", first)
+	}
 	m := b.Build()
-	feat, _ := m.Row(0)
-	for k := 1; k < len(feat); k++ {
-		if feat[k-1] >= feat[k] {
-			t.Fatalf("row not sorted: %v", feat)
+	for i, want := range []struct {
+		feat []uint32
+		val  []float32
+	}{{[]uint32{2, 5, 7}, []float32{2, 3, 1}}, {[]uint32{0, 9}, []float32{5, 4}}} {
+		feat, val := m.Row(i)
+		if !slices.Equal(feat, want.feat) || !slices.Equal(val, want.val) {
+			t.Fatalf("row %d = %v %v, want %v %v", i, feat, val, want.feat, want.val)
 		}
 	}
 }
 
 func TestCSRBuilderRejectsDuplicates(t *testing.T) {
 	b := NewCSRBuilder(10)
-	if err := b.AddRow([]KV{{3, 1}, {3, 2}}); err == nil {
-		t.Fatal("AddRow accepted duplicate feature index")
+	if err := b.AddRow([]KV{{3, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	err := b.AddRow([]KV{{8, 1}, {3, 1}, {8, 2}, {3, 2}})
+	if err == nil || err.Error() != "sparse: duplicate feature index 3 in row 1" {
+		t.Fatalf("AddRow error = %v, want the lowest duplicate attributed to row 1", err)
 	}
 }
 
 func TestCSRBuilderRejectsOutOfRange(t *testing.T) {
 	b := NewCSRBuilder(3)
-	if err := b.AddRow([]KV{{3, 1}}); err == nil {
-		t.Fatal("AddRow accepted out-of-range feature index")
+	err := b.AddRow([]KV{{4, 1}, {1, 1}, {1, 2}, {3, 1}})
+	if err == nil || err.Error() != "sparse: duplicate feature index 1 in row 0" {
+		t.Fatalf("AddRow error = %v, want the in-range duplicate reported first", err)
+	}
+	if err := b.AddRow([]KV{{4, 1}, {3, 1}}); err == nil || err.Error() != "sparse: feature index 3 out of range (cols=3)" {
+		t.Fatalf("AddRow error = %v, want the lowest out-of-range index", err)
 	}
 }
 
