@@ -69,7 +69,7 @@ func (s *GK) flush() {
 		return
 	}
 	sort.Float64s(s.buf)
-	n0, old := s.n, len(s.tuples)
+	old := len(s.tuples)
 	s.tuples = slices.Grow(s.tuples, len(s.buf))[:old+len(s.buf)]
 	ti, w := old, len(s.tuples)
 	for j := len(s.buf) - 1; j >= 0; j-- {
@@ -86,12 +86,12 @@ func (s *GK) flush() {
 		// the (j+1)-th insert of this flush.
 		var delta int64
 		if (j > 0 || ti > 0) && ti < old {
-			delta = int64(2 * s.eps * float64(n0+int64(j)+1))
+			delta = int64(2 * s.eps * float64(s.n+int64(j)+1))
 		}
 		w--
 		s.tuples[w] = tuple{v: v, g: 1, delta: delta}
 	}
-	s.n = n0 + int64(len(s.buf))
+	s.n += int64(len(s.buf))
 	s.buf = s.buf[:0]
 	s.compress()
 }
