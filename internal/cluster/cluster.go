@@ -89,6 +89,17 @@ func (c *Cluster) ResetStats() { c.stats = newStats(c.w) }
 // Parallel runs fn(worker) for every worker and records, under the given
 // phase, the maximum per-worker busy time — the makespan of the phase.
 func (c *Cluster) Parallel(phase string, fn func(worker int)) {
+	var longest time.Duration
+	for w, e := range c.timeEach(fn) {
+		c.stats.addWorkerComp(w, e)
+		longest = max(longest, e)
+	}
+	c.stats.addComp(phase, longest.Seconds())
+}
+
+// timeEach runs fn(worker) for every worker, sequentially or on
+// goroutines, and returns each worker's busy time.
+func (c *Cluster) timeEach(fn func(worker int)) []time.Duration {
 	elapsed := make([]time.Duration, c.w)
 	if c.concurrent {
 		var wg sync.WaitGroup
@@ -109,14 +120,7 @@ func (c *Cluster) Parallel(phase string, fn func(worker int)) {
 			elapsed[w] = time.Since(start)
 		}
 	}
-	var max time.Duration
-	for w, e := range elapsed {
-		c.stats.addWorkerComp(w, e)
-		if e > max {
-			max = e
-		}
-	}
-	c.stats.addComp(phase, max.Seconds())
+	return elapsed
 }
 
 // FirstError collapses a per-worker error slice to the first failure.

@@ -258,3 +258,74 @@ func TestOpKindString(t *testing.T) {
 		t.Fatal("unknown kind formatting")
 	}
 }
+
+// rankOnly is a Transport stub that reports a rank and carries nothing:
+// enough to put a cluster into distributed mode for work-placement tests.
+type rankOnly struct{ w, rank int }
+
+func (r rankOnly) Workers() int                               { return r.w }
+func (r rankOnly) Rank() int                                  { return r.rank }
+func (rankOnly) AllReduce(string, []float64) error            { return nil }
+func (rankOnly) ReduceScatter(string, []float64, []int) error { return nil }
+func (rankOnly) Gather(string, []float64, int) error          { return nil }
+func (rankOnly) AllGather(string, [][]byte) error             { return nil }
+func (rankOnly) Broadcast(string, []byte, int) error          { return nil }
+func (rankOnly) Shadow(string, [][]int64) error               { return nil }
+func (rankOnly) PayloadBytesSent() int64                      { return 0 }
+func (rankOnly) WireBytes() int64                             { return 0 }
+func (rankOnly) Err() error                                   { return nil }
+func (rankOnly) Close() error                                 { return nil }
+
+// TestParallelLocalSplitCharges checks the two-phase charge: each phase
+// gets the slowest worker's time in that phase (not the slowest worker's
+// total), WorkerComp gets every worker's total, and on a transport only
+// the rank's own worker runs.
+func TestParallelLocalSplitCharges(t *testing.T) {
+	const nap = 30 * time.Millisecond
+	c := New(3, Gigabit())
+	c.ParallelLocalSplit("a", "b", func(w int) time.Duration {
+		switch w {
+		case 0: // all of its time in phase a
+			time.Sleep(nap)
+		case 1: // the longest total, mostly in phase b
+			time.Sleep(nap/3 + 2*nap)
+			return 2 * nap
+		}
+		return 0
+	})
+	st := c.Stats()
+	// Worker 0 has the most phase-a time; charging the longest total
+	// (worker 1's ~2.3 naps) instead would overshoot the upper bound.
+	if a := st.Phase("a").CompSeconds; a < nap.Seconds() || a >= (2*nap).Seconds() {
+		t.Fatalf("phase a charged %vs, want worker 0's ~%v", a, nap)
+	}
+	if b := st.Phase("b").CompSeconds; b != (2 * nap).Seconds() {
+		t.Fatalf("phase b charged %vs, want worker 1's reported %v", b, 2*nap)
+	}
+	wc := st.WorkerComp()
+	if wc[0] < nap || wc[1] < nap/3+2*nap || wc[2] >= nap {
+		t.Fatalf("WorkerComp = %v, want each worker's total busy time", wc)
+	}
+
+	d := New(3, Gigabit(), WithTransport(rankOnly{w: 3, rank: 1}))
+	var ran []int
+	d.ParallelLocalSplit("a", "b", func(w int) time.Duration {
+		ran = append(ran, w)
+		time.Sleep(nap)
+		return nap / 3
+	})
+	if len(ran) != 1 || ran[0] != 1 {
+		t.Fatalf("on rank 1 the body ran for workers %v, want [1]", ran)
+	}
+	st = d.Stats()
+	if b := st.Phase("b").CompSeconds; b != (nap / 3).Seconds() {
+		t.Fatalf("rank phase b charged %vs, want %v", b, nap/3)
+	}
+	if a := st.Phase("a").CompSeconds; a < (2 * nap / 3).Seconds() {
+		t.Fatalf("rank phase a charged %vs, want >= %v", a, 2*nap/3)
+	}
+	wc = st.WorkerComp()
+	if wc[0] != 0 || wc[2] != 0 || wc[1] < nap {
+		t.Fatalf("rank WorkerComp = %v, want only worker 1 charged", wc)
+	}
+}

@@ -151,6 +151,34 @@ func (c *Cluster) ParallelLocal(phase string, fn func(worker int)) {
 	c.stats.addComp(phase, e.Seconds())
 }
 
+// ParallelLocalSplit is ParallelLocal for a body whose work alternates
+// between two phases: fn returns how long it spent in phase b, and the
+// rest of its busy time counts toward phase a. Each phase is charged the
+// maximum over workers of that worker's time in it, and each worker's
+// total goes to WorkerComp.
+func (c *Cluster) ParallelLocalSplit(a, b string, fn func(worker int) time.Duration) {
+	inB := make([]time.Duration, c.w)
+	body := func(w int) { inB[w] = fn(w) }
+	var elapsed []time.Duration
+	if c.tr == nil {
+		elapsed = c.timeEach(body)
+	} else {
+		r := c.tr.Rank()
+		elapsed = make([]time.Duration, c.w)
+		start := time.Now()
+		body(r)
+		elapsed[r] = time.Since(start)
+	}
+	var maxA, maxB time.Duration
+	for _, w := range c.LocalWorkers() {
+		c.stats.addWorkerComp(w, elapsed[w])
+		maxA = max(maxA, elapsed[w]-inB[w])
+		maxB = max(maxB, inB[w])
+	}
+	c.stats.addComp(a, maxA.Seconds())
+	c.stats.addComp(b, maxB.Seconds())
+}
+
 // Err returns the transport's sticky error (nil on the simulation). After
 // a transport failure, collectives degrade to their local contributions
 // without blocking; callers poll Err at a consistency boundary (the

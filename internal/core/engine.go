@@ -32,15 +32,14 @@ type engine interface {
 	computeGradients()
 	// rootTotals returns the gradient/hessian totals over all instances.
 	rootTotals() ([]float64, []float64)
-	// buildHistograms constructs the histograms of the given nodes by
-	// scanning instances (and, for horizontal quadrants, aggregates them).
-	buildHistograms(toBuild []*nodeInfo)
-	// deriveHistograms computes each node's histogram as parent minus
-	// built sibling, consuming the parent's entry (Section 2.1.2).
-	deriveHistograms(toDerive []*nodeInfo)
-	// findSplits locates each frontier node's best split, with the work
-	// placed where the quadrant's aggregation puts it.
-	findSplits(frontier []*nodeInfo) map[int32]resolvedSplit
+	// layerSplits grows one layer's histograms and returns each frontier
+	// node's best split (keyed by node id), with the work placed where the
+	// quadrant's aggregation puts it. Nodes marked buildDirect are built by
+	// scanning instances; each sibling derives as parent minus the built
+	// node (Section 2.1.2), consuming the parent's entry. When last is set
+	// the children will be leaves, so every histogram of the layer is
+	// released before layerSplits returns.
+	layerSplits(frontier []*nodeInfo, last bool) map[int32]resolvedSplit
 	// applyLayer propagates one layer's split placements into the
 	// engine's node/instance indexes.
 	applyLayer(splits map[int32]resolvedSplit, children map[int32][2]int32)
@@ -53,12 +52,8 @@ type engine interface {
 	// single-root state at the start of each tree.
 	resetIndexes()
 
-	// Histogram lifecycle: the engine owns its histogram maps and the
-	// memory-gauge accounting that goes with them.
-
-	// clearHists releases every live histogram back to the pool.
-	clearHists()
-	// dropHist releases one node's histogram, if present.
+	// dropHist releases one node's histogram on every worker, if present,
+	// with its memory-gauge charge (the engine owns its histogram maps).
 	dropHist(id int32)
 	// usesSubtraction reports whether the engine derives sibling
 	// histograms by subtraction (false only for QD1, whose shared
@@ -80,4 +75,16 @@ func siblingOf(nd *nodeInfo) int32 {
 		return nd.id + 1
 	}
 	return nd.id - 1
+}
+
+// buildNodes returns the frontier nodes whose histograms are built by
+// scanning instances; every other node derives from its parent.
+func buildNodes(frontier []*nodeInfo) []*nodeInfo {
+	var out []*nodeInfo
+	for _, nd := range frontier {
+		if nd.buildDirect {
+			out = append(out, nd)
+		}
+	}
+	return out
 }

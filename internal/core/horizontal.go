@@ -146,19 +146,23 @@ func (e *horizontalEngine) dropHist(id int32) {
 	}
 }
 
-// deriveHistograms computes each node's histogram as parent minus built
-// sibling, reusing the parent's storage (the parent entry is consumed).
+// deriveHistograms computes the histogram of each frontier node not built
+// directly as parent minus built sibling, reusing the parent's storage
+// (the parent entry is consumed).
 // On a distributed cluster every rank derives its own copy; with
 // reduce-scatter aggregation the non-owned regions hold local
 // contributions on both parent and sibling, so their difference is the
 // derived node's local contribution — the invariant every shard reader
 // relies on survives subtraction.
-func (e *horizontalEngine) deriveHistograms(toDerive []*nodeInfo) {
+func (e *horizontalEngine) deriveHistograms(frontier []*nodeInfo) {
 	e.t.cl.ParallelLocal(phaseHist, func(w int) {
 		if !e.t.cl.Lead(w) {
 			return // aggregated histograms are logically replicated; derive once
 		}
-		for _, nd := range toDerive {
+		for _, nd := range frontier {
+			if nd.buildDirect {
+				continue
+			}
 			parent := e.agg[nd.parent]
 			sibling := e.agg[siblingOf(nd)]
 			parent.Sub(sibling)
@@ -209,6 +213,26 @@ func (e *horizontalEngine) rootTotals() ([]float64, []float64) {
 	})
 	sum := t.cl.AllReduceSum(phaseGrad, locals)
 	return sum[:t.c], sum[t.c:]
+}
+
+// layerSplits builds the layer's histograms (aggregating them per the
+// configured method), derives the subtraction siblings and then finds
+// every node's split. Split finding reads aggregated histograms, so the
+// steps run layer-wide rather than pair by pair; at the last layer the
+// histograms are released as soon as the splits are known.
+func (e *horizontalEngine) layerSplits(frontier []*nodeInfo, last bool) map[int32]resolvedSplit {
+	toBuild := buildNodes(frontier)
+	if len(toBuild) > 0 {
+		e.buildHistograms(toBuild)
+	}
+	if len(toBuild) < len(frontier) {
+		e.deriveHistograms(frontier)
+	}
+	splits := e.findSplits(frontier)
+	if last {
+		e.clearHists()
+	}
+	return splits
 }
 
 // buildHistograms constructs local histograms and aggregates them per the
@@ -384,13 +408,9 @@ func (e *horizontalEngine) aggregate(node int32, locals []*histogram.Hist) {
 // the parameter servers.
 func (e *horizontalEngine) findSplits(frontier []*nodeInfo) map[int32]resolvedSplit {
 	t := e.t
-	out := make(map[int32]resolvedSplit, len(frontier))
-	switch t.cfg.Aggregation {
-	case AggReduceScatter, AggParameterServer:
-		// Each worker finds the best split over its feature shard and
-		// serializes it; the records travel in an all-gather and every
-		// rank merges the same W records in worker order, so the chosen
-		// split is identical on every backend.
+	if t.cfg.Aggregation == AggReduceScatter || t.cfg.Aggregation == AggParameterServer {
+		// Each worker finds the best split over its feature shard; the
+		// serialized records travel in one all-gather.
 		recs := make([][]byte, t.w)
 		per := (t.d + t.w - 1) / t.w
 		t.cl.ParallelLocal(phaseSplit, func(w int) {
@@ -402,38 +422,24 @@ func (e *horizontalEngine) findSplits(frontier []*nodeInfo) map[int32]resolvedSp
 			}
 			recs[w] = encodeSplits(splits)
 		})
-		for w := range recs {
-			if recs[w] == nil {
-				recs[w] = make([]byte, len(frontier)*splitWireBytes)
-			}
-		}
-		t.cl.AllGatherFixed(phaseSplit, recs)
-		for i, nd := range frontier {
-			best := histogram.Split{}
-			for w := 0; w < t.w; w++ {
-				if s := decodeSplit(recs[w][i*splitWireBytes:]); histogram.Prefer(s, best) {
-					best = s
-				}
-			}
-			out[nd.id] = resolvedSplit{node: nd.id, feature: best.Feature, bin: best.Bin,
-				gain: best.Gain, defaultLeft: best.DefaultLeft, valid: best.Valid}
-		}
-	default: // AggAllReduce: the leader scans all features.
-		t.cl.ParallelLocal(phaseSplit, func(w int) {
-			if !t.cl.Lead(w) {
-				return // at most one lead per rank writes out
-			}
-			// Every rank's lead recomputes the identical result from the
-			// fully reduced histograms; the broadcast below charges the
-			// split records the leader would send.
-			for _, nd := range frontier {
-				s := t.finder.FindBest(e.agg[nd.id], nd.totalG, nd.totalH, t.numBinsGlobal)
-				out[nd.id] = resolvedSplit{node: nd.id, feature: s.Feature, bin: s.Bin,
-					gain: s.Gain, defaultLeft: s.DefaultLeft, valid: s.Valid}
-			}
-		})
-		t.cl.Broadcast(phaseSplit, int64(len(frontier))*splitWireBytes)
+		return t.gatherSplits(frontier, recs)
 	}
+	// AggAllReduce: the leader scans all features.
+	out := make(map[int32]resolvedSplit, len(frontier))
+	t.cl.ParallelLocal(phaseSplit, func(w int) {
+		if !t.cl.Lead(w) {
+			return // at most one lead per rank writes out
+		}
+		// Every rank's lead recomputes the identical result from the
+		// fully reduced histograms; the broadcast below charges the
+		// split records the leader would send.
+		for _, nd := range frontier {
+			s := t.finder.FindBest(e.agg[nd.id], nd.totalG, nd.totalH, t.numBinsGlobal)
+			out[nd.id] = resolvedSplit{node: nd.id, feature: s.Feature, bin: s.Bin,
+				gain: s.Gain, defaultLeft: s.DefaultLeft, valid: s.Valid}
+		}
+	})
+	t.cl.Broadcast(phaseSplit, int64(len(frontier))*splitWireBytes)
 	return out
 }
 

@@ -57,3 +57,28 @@ func decodeSplit(b []byte) histogram.Split {
 		DefaultLeft: flags&splitFlagDefaultLeft != 0,
 	}
 }
+
+// gatherSplits exchanges every worker's encoded local bests (recs[w], one
+// record per frontier node; nil for workers this rank does not host) in
+// one all-gather, then merges each node's records in worker order, so
+// every rank and backend picks the same split.
+func (t *trainer) gatherSplits(frontier []*nodeInfo, recs [][]byte) map[int32]resolvedSplit {
+	for w := range recs {
+		if recs[w] == nil {
+			recs[w] = make([]byte, len(frontier)*splitWireBytes)
+		}
+	}
+	t.cl.AllGatherFixed(phaseSplit, recs)
+	out := make(map[int32]resolvedSplit, len(frontier))
+	for i, nd := range frontier {
+		best := histogram.Split{}
+		for w := range recs {
+			if s := decodeSplit(recs[w][i*splitWireBytes:]); histogram.Prefer(s, best) {
+				best = s
+			}
+		}
+		out[nd.id] = resolvedSplit{node: nd.id, feature: best.Feature, bin: best.Bin,
+			gain: best.Gain, defaultLeft: best.DefaultLeft, valid: best.Valid}
+	}
+	return out
+}

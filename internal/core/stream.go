@@ -598,11 +598,12 @@ func (e *verticalEngine) prepareStreamedVero() error {
 	return t.stream.ok()
 }
 
-// buildHistogramsStreamedVertical is buildHistograms for the streamed
-// vertical quadrants. QD4 runs block-outer/node-inner over rebuilt row
-// blocks (one data pass per layer); QD3 runs the hybrid per-node plan
-// with streamed linear scans and mapped binary probes. Both preserve the
-// in-memory accumulation order exactly.
+// buildHistogramsStreamedVertical builds a layer's histograms for the
+// streamed vertical quadrants, all build nodes at once; layerSplits then
+// derives, searches and releases them. QD4 runs block-outer/node-inner
+// over rebuilt row blocks (one data pass per layer); QD3 runs the hybrid
+// per-node plan with streamed linear scans and mapped binary probes. Both
+// preserve the in-memory accumulation order exactly.
 func (e *verticalEngine) buildHistogramsStreamedVertical(toBuild []*nodeInfo) {
 	t := e.t
 	mem := t.cl.Stats().Mem("histogram")
@@ -610,7 +611,6 @@ func (e *verticalEngine) buildHistogramsStreamedVertical(toBuild []*nodeInfo) {
 		hs := make([]*histogram.Hist, len(toBuild))
 		for i := range hs {
 			hs[i] = t.pool.Get(e.layout[w])
-			mem.Add(w, e.layout[w].SizeBytes())
 		}
 		if t.cfg.Quadrant == QD4 {
 			e.buildRowStoreStreamed(w, toBuild, hs)
@@ -619,8 +619,18 @@ func (e *verticalEngine) buildHistogramsStreamedVertical(toBuild []*nodeInfo) {
 				e.buildHybridStreamed(w, nd, hs[i])
 			}
 		}
+		if !t.cl.HostsWorker(w) {
+			// A distributed rank runs this build for every worker, but
+			// only its hosted worker derives and searches: release the
+			// others' histograms at once.
+			for _, h := range hs {
+				t.pool.Put(h)
+			}
+			return
+		}
 		for i, nd := range toBuild {
 			e.hist[w][nd.id] = hs[i]
+			mem.Add(w, e.layout[w].SizeBytes())
 		}
 	})
 }

@@ -183,10 +183,6 @@ func (t *trainer) run(ck *checkpoint) (*Result, error) {
 			res.CheckpointErr = err
 		}
 	}
-	// Release the final tree's remaining histograms (the last layer's
-	// split parents, kept for subtraction, are otherwise only cleared
-	// lazily at the next tree's start) so the memory gauge balances.
-	t.eng.clearHists()
 	comp, comm, _ := t.cl.Stats().Totals()
 	res.CompSeconds = comp
 	res.CommSeconds = comm
@@ -202,33 +198,18 @@ func (t *trainer) computeGradients() { t.eng.computeGradients() }
 func (t *trainer) trainTree() *tree.Tree {
 	tr := tree.New(t.c)
 	t.eng.resetIndexes()
-	t.eng.clearHists()
 
 	root := &nodeInfo{id: tr.Root(), count: t.n, buildDirect: true, parent: noParent}
 	root.totalG, root.totalH = t.eng.rootTotals()
 	frontier := []*nodeInfo{root}
 
 	for layer := 1; layer < t.cfg.Layers && len(frontier) > 0; layer++ {
-		var toBuild, toDerive []*nodeInfo
-		for _, nd := range frontier {
-			if nd.buildDirect {
-				toBuild = append(toBuild, nd)
-			} else {
-				toDerive = append(toDerive, nd)
-			}
-		}
-		if len(toBuild) > 0 {
-			t.eng.buildHistograms(toBuild)
-		}
-		if len(toDerive) > 0 {
-			t.eng.deriveHistograms(toDerive)
-		}
-		splits := t.eng.findSplits(frontier)
+		splits := t.eng.layerSplits(frontier, layer == t.cfg.Layers-1)
 		frontier = t.applySplits(tr, frontier, splits)
 	}
+	// The children of the last split layer never had histograms.
 	for _, nd := range frontier {
 		t.setLeaf(tr, nd)
-		t.eng.dropHist(nd.id)
 	}
 	t.eng.updatePredictions(tr)
 	return tr

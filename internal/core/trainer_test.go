@@ -6,6 +6,7 @@ import (
 
 	"vero/internal/cluster"
 	"vero/internal/datasets"
+	"vero/internal/testutil"
 	"vero/internal/tree"
 )
 
@@ -91,9 +92,10 @@ func TestHistogramPoolRecycles(t *testing.T) {
 	}
 	for _, q := range []Quadrant{QD1, QD2, QD3, QD4} {
 		cl := cluster.New(3, cluster.Gigabit())
-		// Vertical quadrants hold every built histogram until the tree
-		// finishes, so reuse is cross-tree: the avoidance factor grows
-		// with the tree count (~Trees; the paper trains T=100).
+		// Buffers are reused within a tree (released leaves and, at the
+		// last layer, every searched histogram) and across trees, so the
+		// avoidance factor grows with the tree count (the paper trains
+		// T=100).
 		tr := newTestTrainer(t, cl, ds, Config{Quadrant: q, Trees: 20, Layers: 4, Splits: 8})
 		if _, err := tr.run(nil); err != nil {
 			t.Fatalf("%v: %v", q, err)
@@ -130,4 +132,51 @@ func newTestTrainer(t testing.TB, cl *cluster.Cluster, ds *datasets.Dataset, cfg
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// TestVerticalHistogramHighWater pins the vertical quadrants' histogram
+// working set. Layer L-1 (the last split layer) starts with its 2^(L-3)
+// split parents retained for subtraction; growing it pair by pair adds
+// one built histogram at a time and releases each pair once its splits
+// are found, so no worker ever holds more than 2^(L-3)+1 histograms —
+// where building the whole layer before searching it held 2^(L-2).
+func TestVerticalHistogramHighWater(t *testing.T) {
+	const layers, w = 6, 3
+	ds := testutil.Binary(t, 4000, 24, 0.8, 42)
+	limit := int64(1)<<(layers-3) + 1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"QD3-hybrid", Config{Quadrant: QD3}},
+		{"QD3-colwise", Config{Quadrant: QD3, ColumnIndex: IndexColumnWise}},
+		{"QD4", Config{Quadrant: QD4}},
+		{"QD4-fullcopy", Config{Quadrant: QD4, FullCopy: true}},
+	} {
+		cfg := tc.cfg
+		cfg.Trees, cfg.Layers, cfg.Splits = 3, layers, 16
+		cl := cluster.New(w, cluster.Gigabit())
+		tr := newTestTrainer(t, cl, ds, cfg)
+		res, err := tr.run(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for ti, tree := range res.Forest.Trees {
+			if got := tree.NumLeaves(); got != 1<<(layers-1) {
+				t.Fatalf("%s: tree %d has %d leaves, want a full tree of %d", tc.name, ti, got, 1<<(layers-1))
+			}
+		}
+		mem := cl.Stats().Mem("histogram")
+		layout := tr.eng.(*verticalEngine).layout
+		for wk, peak := range mem.Peak {
+			if want := limit * layout[wk].SizeBytes(); peak > want {
+				t.Errorf("%s: worker %d histogram peak %d bytes = %.2f histograms, want <= %d",
+					tc.name, wk, peak, float64(peak)/float64(layout[wk].SizeBytes()), limit)
+			}
+		}
+		gets, reuses := tr.pool.Stats()
+		if fresh := gets - reuses; fresh > w*limit {
+			t.Errorf("%s: %d fresh histogram allocations in the run, want <= %d", tc.name, fresh, w*limit)
+		}
+	}
 }

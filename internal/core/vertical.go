@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"time"
 
 	"vero/internal/bitmap"
 	"vero/internal/cluster"
@@ -300,40 +301,21 @@ func (e *verticalEngine) resetIndexes() {
 	}
 }
 
-func (e *verticalEngine) clearHists() {
-	// dropHist releases id on every worker; subtraction can leave worker
-	// maps holding different id sets, so sweep each worker's keys.
-	for w := range e.hist {
-		for id := range e.hist[w] {
-			e.dropHist(id)
-		}
-	}
-}
-
+// dropHist releases node id's histogram on every worker.
 func (e *verticalEngine) dropHist(id int32) {
-	g := e.t.cl.Stats().Mem("histogram")
 	for w := range e.hist {
-		if h, ok := e.hist[w][id]; ok {
-			g.Add(w, -e.layout[w].SizeBytes())
-			e.t.pool.Put(h)
-			delete(e.hist[w], id)
-		}
+		e.releaseHist(w, id)
 	}
 }
 
-// deriveHistograms computes each node's histogram as parent minus built
-// sibling, reusing the parent's storage (the parent entry is consumed).
-func (e *verticalEngine) deriveHistograms(toDerive []*nodeInfo) {
-	e.t.cl.ParallelLocal(phaseHist, func(w int) {
-		hm := e.hist[w]
-		for _, nd := range toDerive {
-			parent := hm[nd.parent]
-			sibling := hm[siblingOf(nd)]
-			parent.Sub(sibling)
-			hm[nd.id] = parent
-			delete(hm, nd.parent)
-		}
-	})
+// releaseHist returns worker w's histogram of node id, if present, to the
+// pool and takes it off the worker's memory gauge.
+func (e *verticalEngine) releaseHist(w int, id int32) {
+	if h, ok := e.hist[w][id]; ok {
+		e.t.cl.Stats().Mem("histogram").Add(w, -e.layout[w].SizeBytes())
+		e.t.pool.Put(h)
+		delete(e.hist[w], id)
+	}
 }
 
 func (e *verticalEngine) rootTotals() ([]float64, []float64) {
@@ -368,41 +350,92 @@ func (e *verticalEngine) rootTotals() ([]float64, []float64) {
 	return g, h
 }
 
-func (e *verticalEngine) buildHistograms(toBuild []*nodeInfo) {
+// layerSplits grows the layer one sibling pair at a time on each worker:
+// build the smaller child into a pooled histogram, find its local best
+// split, derive the larger sibling in place from the parent, find its
+// split and, at the last layer, release both histograms before the next
+// pair. Split finding is worker-local (no aggregation sits between build
+// and find), so a worker holds the retained parents plus one fresh
+// histogram instead of the whole layer. The local bests are then
+// exchanged once per layer (Section 2.2.1).
+//
+// The streamed path keeps its one-pass batched build (building pair by
+// pair would re-read the blocks for every pair) and runs the same
+// derive/find/release loop over the built histograms.
+func (e *verticalEngine) layerSplits(frontier []*nodeInfo, last bool) map[int32]resolvedSplit {
 	t := e.t
 	if t.stream != nil {
-		e.buildHistogramsStreamedVertical(toBuild)
-		return
+		e.buildHistogramsStreamedVertical(buildNodes(frontier))
 	}
-	mem := t.cl.Stats().Mem("histogram")
-	t.cl.ParallelLocal(phaseHist, func(w int) {
-		hs := make([]*histogram.Hist, len(toBuild))
-		for i := range hs {
-			hs[i] = t.pool.Get(e.layout[w])
-			mem.Add(w, e.layout[w].SizeBytes())
+	recs := make([][]byte, t.w)
+	t.cl.ParallelLocalSplit(phaseHist, phaseSplit, func(w int) time.Duration {
+		hm := e.hist[w]
+		splits := make([]histogram.Split, len(frontier))
+		var inSplit time.Duration
+		find := func(i int) {
+			start := time.Now()
+			nd := frontier[i]
+			s := t.finder.FindBest(hm[nd.id], nd.totalG, nd.totalH, e.numBins[w])
+			if s.Valid {
+				s.Feature = e.groups[w][s.Feature] // slot -> global id
+			}
+			splits[i] = s
+			inSplit += time.Since(start)
 		}
-		switch {
-		case t.cfg.Quadrant == QD4 && !t.cfg.FullCopy:
-			for i, nd := range toBuild {
-				e.buildRowStore(w, nd, hs[i])
+		for i := 0; i < len(frontier); {
+			// The root stands alone; every other node arrives next to its
+			// sibling (applySplits appends children in left, right pairs).
+			b, d := i, -1
+			if frontier[i].parent != noParent {
+				b, d = i, i+1
+				if !frontier[i].buildDirect {
+					b, d = i+1, i
+				}
 			}
-		case t.cfg.Quadrant == QD4: // feature-parallel full copy
-			for i, nd := range toBuild {
-				e.buildFullCopy(w, nd, hs[i])
+			built := frontier[b]
+			if t.stream == nil {
+				hm[built.id] = e.buildHist(w, built)
 			}
-		case t.cfg.ColumnIndex == IndexColumnWise:
-			for i, nd := range toBuild {
-				e.buildColumnWise(w, nd, hs[i])
+			find(b)
+			if d >= 0 {
+				nd := frontier[d]
+				parent := hm[nd.parent]
+				parent.Sub(hm[built.id])
+				hm[nd.id] = parent
+				delete(hm, nd.parent)
+				find(d)
 			}
-		default:
-			for i, nd := range toBuild {
-				e.buildHybrid(w, nd, hs[i])
+			if last {
+				e.releaseHist(w, built.id)
+				if d >= 0 {
+					e.releaseHist(w, frontier[d].id)
+				}
 			}
+			i = max(b, d) + 1
 		}
-		for i, nd := range toBuild {
-			e.hist[w][nd.id] = hs[i]
-		}
+		recs[w] = encodeSplits(splits)
+		return inSplit
 	})
+	return t.gatherSplits(frontier, recs)
+}
+
+// buildHist draws a pooled histogram, charges it to worker w's memory
+// gauge and fills it from nd's instances with the quadrant's build plan.
+func (e *verticalEngine) buildHist(w int, nd *nodeInfo) *histogram.Hist {
+	t := e.t
+	h := t.pool.Get(e.layout[w])
+	t.cl.Stats().Mem("histogram").Add(w, e.layout[w].SizeBytes())
+	switch {
+	case t.cfg.Quadrant == QD4 && !t.cfg.FullCopy:
+		e.buildRowStore(w, nd, h)
+	case t.cfg.Quadrant == QD4: // feature-parallel full copy
+		e.buildFullCopy(w, nd, h)
+	case t.cfg.ColumnIndex == IndexColumnWise:
+		e.buildColumnWise(w, nd, h)
+	default:
+		e.buildHybrid(w, nd, h)
+	}
+	return h
 }
 
 // buildRowStore scans the node's instances through the blockified rows —
@@ -482,46 +515,6 @@ func (e *verticalEngine) buildHybrid(w int, nd *nodeInfo, h *histogram.Hist) {
 			h.AddFlat(j, int(bin), t.grads, t.hessv, int(inst)*t.c)
 		}
 	}
-}
-
-// findSplits has each worker find the best split over its own feature
-// subset, then exchanges the local bests (Section 2.2.1).
-func (e *verticalEngine) findSplits(frontier []*nodeInfo) map[int32]resolvedSplit {
-	t := e.t
-	recs := make([][]byte, t.w)
-	t.cl.ParallelLocal(phaseSplit, func(w int) {
-		splits := make([]histogram.Split, len(frontier))
-		for i, nd := range frontier {
-			s := t.finder.FindBest(e.hist[w][nd.id], nd.totalG, nd.totalH, e.numBins[w])
-			if s.Valid {
-				s.Feature = e.groups[w][s.Feature] // slot -> global id
-			}
-			splits[i] = s
-		}
-		recs[w] = encodeSplits(splits)
-	})
-	for w := range recs {
-		if recs[w] == nil {
-			recs[w] = make([]byte, len(frontier)*splitWireBytes)
-		}
-	}
-	t.cl.AllGatherFixed(phaseSplit, recs)
-	out := make(map[int32]resolvedSplit, len(frontier))
-	for i, nd := range frontier {
-		best := histogram.Split{}
-		for w := 0; w < t.w; w++ {
-			s := decodeSplit(recs[w][i*splitWireBytes:])
-			if !s.Valid {
-				continue
-			}
-			if histogram.Prefer(s, best) {
-				best = s
-			}
-		}
-		out[nd.id] = resolvedSplit{node: nd.id, feature: best.Feature, bin: best.Bin,
-			gain: best.Gain, defaultLeft: best.DefaultLeft, valid: best.Valid}
-	}
-	return out
 }
 
 // applyLayer computes instance placements at the split owners, broadcasts

@@ -276,6 +276,12 @@ func ReadCache(r io.Reader, name string) (*datasets.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: cache read: %w", err)
 	}
+	return decodeCache(h, payload, name)
+}
+
+// decodeCache checks the payload against its validated header (size, then
+// checksum) and decodes it into the dataset ReadCache describes.
+func decodeCache(h vbinHeader, payload []byte, name string) (*datasets.Dataset, error) {
 	if err := h.checkPayloadSize(int64(len(payload))); err != nil {
 		return nil, err
 	}
@@ -445,7 +451,8 @@ func ReadCache(r io.Reader, name string) (*datasets.Dataset, error) {
 
 // ReadCacheFile reads a .vbin cache from disk; the dataset is named after
 // the file. The header is validated against the file's real size before
-// the body is read, so a forged header cannot trigger a huge allocation.
+// the body is read, so a forged header cannot trigger a huge allocation,
+// and the payload is then read into one buffer of exactly that size.
 func ReadCacheFile(path string) (*datasets.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -470,9 +477,16 @@ func ReadCacheFile(path string) (*datasets.Dataset, error) {
 	if err := h.checkPayloadSize(st.Size() - vbinHeaderSize); err != nil {
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	if err := failpoint.Inject(FailpointReadCache); err != nil {
 		return nil, fmt.Errorf("ingest: cache read: %w", err)
 	}
+	payload := make([]byte, st.Size()-vbinHeaderSize)
+	n, err := io.ReadFull(f, payload)
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("ingest: cache read: %w", err)
+	}
+	// A file truncated after the stat decodes its short payload, which
+	// fails the size or checksum check exactly as ReadCache would.
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	return ReadCache(f, name)
+	return decodeCache(h, payload[:n], name)
 }

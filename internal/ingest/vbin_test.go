@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -248,5 +249,54 @@ func TestCacheImplausibleShapeRejected(t *testing.T) {
 		if _, err := ReadCache(bytes.NewReader(img), "huge"); err == nil || !strings.Contains(err.Error(), "implausible shape") {
 			t.Fatalf("offset %d: err = %v, want implausible-shape rejection", off, err)
 		}
+	}
+}
+
+// TestReadCacheFileAllocs bounds what one ReadCacheFile allocates: the
+// payload buffer (at most the file size), the decoded arrays (sized from
+// the header's dimensions) and 64 KiB of slack. Reading the payload with
+// a growing buffer instead of one exact-size read allocates several times
+// the file size and fails the bound.
+func TestReadCacheFileAllocs(t *testing.T) {
+	ds, err := datasets.Synthetic(datasets.SyntheticConfig{
+		N: 20000, D: 50, C: 2, InformativeRatio: 0.4, Density: 0.2, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "allocs.vbin")
+	if err := WriteCacheFile(path, ds, Prebinned(ds, DefaultSketchEps, 32)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseVbinHeader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, cols, nnz := int64(h.rows), int64(h.cols), h.nnz
+	decoded := cols*(8+24+8) + 8*(cols+1) + 4*int64(h.q)*cols + // counts, split slices, featCount, colPtr
+		nnz*(4+2+4+4) + // inst, bins, feat, val
+		rows*4 + 3*8*(rows+1) // labels, rowCnt, rowPtr, next
+	bound := st.Size() + decoded + 64<<10
+
+	if _, err := ReadCacheFile(path); err != nil { // warm up lazily initialized state
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadCacheFile(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got > bound {
+		t.Fatalf("ReadCacheFile allocated %d bytes for a %d-byte file, want <= %d (file + %d decoded + 64 KiB)",
+			got, st.Size(), bound, decoded)
 	}
 }

@@ -241,9 +241,23 @@ func transformGrouped(cl *cluster.Cluster, x *sparse.CSR, labels []float32, opts
 	blocks := make([][]*Block, w)
 	cl.Parallel("transform.group", func(src int) {
 		lo, hi := ranges[src][0], ranges[src][1]
+		// Count each destination's entries first, so Feat and Bin are
+		// allocated once, at their exact size.
+		nnz := make([]int, w)
+		for i := lo; i < hi; i++ {
+			feats, _ := x.Row(i)
+			for _, f := range feats {
+				nnz[groupOf[f]]++
+			}
+		}
 		out := make([]*Block, w)
 		for dst := 0; dst < w; dst++ {
-			out[dst] = &Block{RowStart: lo, RowPtr: make([]int64, 1, hi-lo+1)}
+			out[dst] = &Block{
+				RowStart: lo,
+				RowPtr:   make([]int64, 1, hi-lo+1),
+				Feat:     make([]uint32, 0, nnz[dst]),
+				Bin:      make([]uint16, 0, nnz[dst]),
+			}
 		}
 		for i := lo; i < hi; i++ {
 			feats, vals := x.Row(i)

@@ -173,3 +173,32 @@ func TestVariantString(t *testing.T) {
 		t.Fatal("variant names wrong")
 	}
 }
+
+// TestTransformBlocksExactSize checks the transformation allocates every
+// block's pairs at exactly their count — including blocks that merging
+// coalesced (W=6 merges down to 4 blocks) — and that the byte report is
+// the one pinned for this fixture.
+func TestTransformBlocksExactSize(t *testing.T) {
+	for _, tc := range []struct {
+		w    int
+		want ByteReport
+	}{
+		{4, ByteReport{SketchShuffle: 37664, SplitBroadcast: 2560, NaiveShuffle: 48336,
+			CompressedShuffle: 26056, BlockifiedShuffle: 8296, LabelBroadcast: 1200}},
+		{6, ByteReport{SketchShuffle: 43424, SplitBroadcast: 2560, NaiveShuffle: 65940,
+			CompressedShuffle: 40990, BlockifiedShuffle: 11590, LabelBroadcast: 1200}},
+	} {
+		_, _, res := transformFixture(t, tc.w, VariantBlockified)
+		for _, shard := range res.Shards {
+			for i, b := range shard.Data.Blocks {
+				if cap(b.Feat) != len(b.Feat) || cap(b.Bin) != len(b.Bin) {
+					t.Errorf("W=%d worker %d block %d: Feat len %d cap %d, Bin len %d cap %d",
+						tc.w, shard.Worker, i, len(b.Feat), cap(b.Feat), len(b.Bin), cap(b.Bin))
+				}
+			}
+		}
+		if res.Bytes != tc.want {
+			t.Errorf("W=%d: byte report %+v, want %+v", tc.w, res.Bytes, tc.want)
+		}
+	}
+}
