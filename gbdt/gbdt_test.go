@@ -2,6 +2,7 @@ package gbdt
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -165,5 +166,38 @@ func TestCostModelAPI(t *testing.T) {
 	}
 	if r.HistogramBytes != 950_400_000 {
 		t.Fatalf("Sizehist = %d", r.HistogramBytes)
+	}
+}
+
+func TestTrainRejectsNonFiniteLabels(t *testing.T) {
+	tasks := []struct {
+		name string
+		make func() (*Dataset, error)
+		opts Options
+	}{
+		{"binary", func() (*Dataset, error) {
+			return Synthetic(SyntheticConfig{N: 300, D: 10, C: 2, InformativeRatio: 0.5, Density: 0.5, Seed: 3})
+		}, Options{}},
+		{"multiclass", func() (*Dataset, error) {
+			return Synthetic(SyntheticConfig{N: 300, D: 10, C: 3, InformativeRatio: 0.5, Density: 0.5, Seed: 3})
+		}, Options{}},
+		{"regression", func() (*Dataset, error) { return SyntheticRegression(300, 10, 0.5, 0.05, 3) },
+			Options{Objective: "square"}},
+	}
+	for _, task := range tasks {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ds, err := task.make()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.Labels[7] = float32(bad)
+			opts := task.opts
+			opts.Workers, opts.Trees, opts.Layers = 2, 2, 3
+			_, _, err = Train(ds, opts)
+			want := fmt.Sprintf("core: label of row 7 is %v; labels must be finite", float32(bad))
+			if err == nil || err.Error() != want {
+				t.Errorf("%s with label %v: error %v, want %q", task.name, bad, err, want)
+			}
+		}
 	}
 }

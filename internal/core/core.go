@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"vero/internal/advisor"
@@ -294,6 +295,9 @@ func Train(cl *cluster.Cluster, ds *datasets.Dataset, cfg Config) (*Result, erro
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
+	if err := checkLabels(ds.Labels); err != nil {
+		return nil, err
+	}
 	obj, err := objective(ds, cfg)
 	if err != nil {
 		return nil, err
@@ -345,6 +349,18 @@ func Train(cl *cluster.Cluster, ds *datasets.Dataset, cfg Config) (*Result, erro
 	}
 	res.Selection = sel
 	return res, nil
+}
+
+// checkLabels rejects a non-finite label. The losses would turn it into
+// non-finite gradients, and training would silently produce a model of
+// NaN scores.
+func checkLabels(labels []float32) error {
+	for i, y := range labels {
+		if math.IsNaN(float64(y)) || math.IsInf(float64(y), 0) {
+			return fmt.Errorf("core: label of row %d is %v; labels must be finite", i, y)
+		}
+	}
+	return nil
 }
 
 // validateShard rejects dataset/cluster/config combinations a sharded

@@ -107,44 +107,28 @@ func (t *trainer) distributedSketch() ([]int64, error) {
 		// would derive splits from a fraction of the values.
 		return nil, fmt.Errorf("core: cannot sketch candidate splits from a rank shard; load shards with ingest.ReadCacheShard so the cache's splits ride along")
 	}
-	local := make([][]*sketch.GK, t.w)
+	pass := sketch.NewPass(t.ds.X, t.cfg.SketchEps)
+	tuples := make([][]int, t.w)
 	t.cl.Parallel("prep.sketch", func(w int) {
-		sks := make([]*sketch.GK, t.d)
-		lo, hi := t.ranges[w][0], t.ranges[w][1]
-		for i := lo; i < hi; i++ {
-			feats, vals := t.ds.X.Row(i)
-			for k, f := range feats {
-				if sks[f] == nil {
-					sks[f] = sketch.New(t.cfg.SketchEps)
-				}
-				sks[f].Add(float64(vals[k]))
-			}
-		}
-		local[w] = sks
+		tuples[w] = pass.Local(t.ranges[w][0], t.ranges[w][1])
 	})
 	var sketchBytes int64
-	for f := 0; f < t.d; f++ {
-		for w := 0; w < t.w; w++ {
-			if local[w][f] != nil {
-				sketchBytes += int64(local[w][f].NumTuples()) * 16
+	for _, local := range tuples {
+		for _, n := range local {
+			if n > 0 {
+				sketchBytes += int64(n) * 16
 			}
 		}
 	}
 	t.cl.ChargeComm("prep.sketch", cluster.OpAllReduce, sketchBytes, t.commSeconds(sketchBytes, t.w-1))
 
-	global := sketch.Canonical(t.ds.X, t.cfg.SketchEps)
-	t.binner = &sparse.Binner{Splits: make([][]float32, t.d)}
+	splits, featCount := sketch.Splits(pass.Canonical(), t.cfg.Splits, t.d)
+	t.binner = &sparse.Binner{Splits: splits}
 	t.numBinsGlobal = make([]int, t.d)
-	featCount := make([]int64, t.d)
 	var splitBytes int64
-	for f := 0; f < t.d; f++ {
-		if global[f] == nil {
-			continue
-		}
-		t.binner.Splits[f] = global[f].CandidateSplits(t.cfg.Splits)
-		t.numBinsGlobal[f] = len(t.binner.Splits[f])
-		featCount[f] = global[f].Count()
-		splitBytes += int64(len(t.binner.Splits[f])) * 4
+	for f, sp := range splits {
+		t.numBinsGlobal[f] = len(sp)
+		splitBytes += int64(len(sp)) * 4
 	}
 	t.cl.Broadcast("prep.sketch", splitBytes)
 	return featCount, nil

@@ -88,20 +88,8 @@ func (c *collector) dataset(name string, numClass int) (*datasets.Dataset, error
 // which can exceed the sketched width (a dataset with rows but no stored
 // entries still has one feature).
 func (c *collector) prebin(q, cols int) *datasets.Prebin {
-	pb := &datasets.Prebin{
-		SketchEps: c.sketchEps,
-		Q:         q,
-		Splits:    make([][]float32, cols),
-		FeatCount: make([]int64, cols),
-	}
-	for f, sk := range c.sketches {
-		if sk == nil || sk.Count() == 0 {
-			continue
-		}
-		pb.Splits[f] = sk.CandidateSplits(q)
-		pb.FeatCount[f] = sk.Count()
-	}
-	return pb
+	splits, counts := sketch.Splits(c.sketches, q, cols)
+	return &datasets.Prebin{SketchEps: c.sketchEps, Q: q, Splits: splits, FeatCount: counts}
 }
 
 // ReadDataset parses the input through the chunked parallel pipeline and
@@ -156,19 +144,6 @@ func IngestFile(path string, opts Options) (*datasets.Dataset, error) {
 // inserted in global row order. It is how datasets that never passed
 // through a file (synthetic generators) get cached.
 func Prebinned(ds *datasets.Dataset, sketchEps float64, q int) *datasets.Prebin {
-	sks := sketch.Canonical(ds.X, sketchEps)
-	pb := &datasets.Prebin{
-		SketchEps: sketchEps,
-		Q:         q,
-		Splits:    make([][]float32, ds.NumFeatures()),
-		FeatCount: make([]int64, ds.NumFeatures()),
-	}
-	for f, sk := range sks {
-		if sk == nil || sk.Count() == 0 {
-			continue
-		}
-		pb.Splits[f] = sk.CandidateSplits(q)
-		pb.FeatCount[f] = sk.Count()
-	}
-	return pb
+	splits, counts := sketch.Splits(sketch.Canonical(ds.X, sketchEps), q, ds.NumFeatures())
+	return &datasets.Prebin{SketchEps: sketchEps, Q: q, Splits: splits, FeatCount: counts}
 }

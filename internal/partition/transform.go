@@ -154,20 +154,10 @@ func Transform(cl *cluster.Cluster, x *sparse.CSR, labels []float32, opts Option
 
 	// Step 1: per-worker quantile sketches, repartitioned by feature and
 	// merged into global sketches.
-	local := make([][]*sketch.GK, w)
+	pass := sketch.NewPass(x, opts.SketchEps)
+	tuples := make([][]int, w)
 	cl.Parallel("transform.sketch", func(wk int) {
-		sks := make([]*sketch.GK, d)
-		lo, hi := ranges[wk][0], ranges[wk][1]
-		for i := lo; i < hi; i++ {
-			feats, vals := x.Row(i)
-			for k, f := range feats {
-				if sks[f] == nil {
-					sks[f] = sketch.New(opts.SketchEps)
-				}
-				sks[f].Add(float64(vals[k]))
-			}
-		}
-		local[wk] = sks
+		tuples[wk] = pass.Local(ranges[wk][0], ranges[wk][1])
 	})
 	// Sketch repartition: feature f's local sketches travel to worker
 	// f mod W for merging. The candidate splits themselves come from the
@@ -180,15 +170,12 @@ func Transform(cl *cluster.Cluster, x *sparse.CSR, labels []float32, opts Option
 	for f := 0; f < d; f++ {
 		owner := f % w
 		for wk := 0; wk < w; wk++ {
-			if local[wk][f] == nil {
-				continue
-			}
-			if wk != owner {
-				sketchSend[wk][owner] += int64(local[wk][f].NumTuples())*sketchTupleBytes + 16
+			if n := tuples[wk][f]; n != sketch.Absent && wk != owner {
+				sketchSend[wk][owner] += int64(n)*sketchTupleBytes + 16
 			}
 		}
 	}
-	global := sketch.Canonical(x, opts.SketchEps)
+	global := pass.Canonical()
 	cl.Shuffle("transform.sketch", sketchSend)
 	for i := range sketchSend {
 		for j := range sketchSend[i] {
@@ -200,16 +187,11 @@ func Transform(cl *cluster.Cluster, x *sparse.CSR, labels []float32, opts Option
 
 	// Step 2: candidate splits from the merged sketches; the master
 	// collects them and broadcasts to all workers.
-	binner := &sparse.Binner{Splits: make([][]float32, d)}
-	featCount := make([]int64, d)
+	splits, featCount := sketch.Splits(global, opts.Q, d)
+	binner := &sparse.Binner{Splits: splits}
 	var splitBytes int64
-	for f := 0; f < d; f++ {
-		if global[f] == nil {
-			continue
-		}
-		binner.Splits[f] = global[f].CandidateSplits(opts.Q)
-		featCount[f] = global[f].Count()
-		splitBytes += int64(len(binner.Splits[f])) * 4
+	for _, sp := range splits {
+		splitBytes += int64(len(sp)) * 4
 	}
 	cl.PointToPoint("transform.splits", splitBytes) // gather at master
 	cl.Broadcast("transform.splits", splitBytes)

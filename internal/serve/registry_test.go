@@ -228,6 +228,62 @@ func TestMetricz(t *testing.T) {
 	}
 }
 
+// TestMetriczLatencyIncludesAdmissionWait holds the model's only
+// admission slot while a request arrives, so the request waits for the
+// hold before it is decoded. The latency /metricz reports must include
+// that wait.
+func TestMetriczLatencyIncludesAdmissionWait(t *testing.T) {
+	const hold = 60 * time.Millisecond
+	srv, err := New(constModel(t, 1), "m", Options{MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived := make(chan struct{})
+	var once sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/predict" {
+			once.Do(func() { close(arrived) })
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	h, _ := srv.Registry().get(DefaultModel)
+	h.inflight <- struct{}{} // take the only slot
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+			bytes.NewReader([]byte(`{"rows":[{"indices":[0],"values":[1]}]}`)))
+		if err == nil {
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-arrived
+	time.Sleep(hold)
+	<-h.inflight
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/metricz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var mr MetricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+		t.Fatal(err)
+	}
+	lat := mr.Models[0].LatencyMs
+	if holdMs := float64(hold) / float64(time.Millisecond); lat.Count != 1 || lat.P50 < holdMs {
+		t.Fatalf("latency %+v after waiting %v for admission; want one request of at least %v ms", lat, hold, holdMs)
+	}
+}
+
 // TestMetricsCarryAcrossSwap pins that accounting belongs to the served
 // name, not one version.
 func TestMetricsCarryAcrossSwap(t *testing.T) {

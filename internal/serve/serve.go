@@ -371,6 +371,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The latency histogram covers admission wait, decode, scoring and
+	// encode: the clock starts before the slot is taken and stops after
+	// the response is written.
+	start := time.Now()
 	// Bounded per-model concurrency: wait for a slot or client hang-up.
 	select {
 	case h.inflight <- struct{}{}:
@@ -382,12 +386,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	h.metrics.inFlight.Add(1)
 	defer h.metrics.inFlight.Add(-1)
-	start := time.Now()
 
 	req, feats, vals, status, err := decodePredictRequest(r.Body, s.opts.MaxBatchRows)
 	if err != nil {
-		h.metrics.observe(time.Since(start), 0, true)
 		writeError(w, status, err.Error())
+		h.metrics.observe(time.Since(start), 0, true)
 		return
 	}
 	// Single-row requests coalesce with concurrent ones into a shared
@@ -414,8 +417,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if req.Proba {
 		resp.Probabilities = reshape(h.pred.Probabilities(margins), k)
 	}
-	h.metrics.observe(time.Since(start), len(feats), false)
 	writeJSON(w, http.StatusOK, resp)
+	h.metrics.observe(time.Since(start), len(feats), false)
 }
 
 // decodePredictRequest parses and validates a predict body, returning the

@@ -8,16 +8,7 @@ import "vero/internal/sparse"
 // identical for every quadrant and worker count — which is what lets the
 // reproduction verify that all four data-management policies grow
 // bit-identical trees. Features with no stored values get a nil sketch.
+// It is Pass.Canonical without local sketches.
 func Canonical(x *sparse.CSR, eps float64) []*GK {
-	sks := make([]*GK, x.Cols())
-	for i := 0; i < x.Rows(); i++ {
-		feats, vals := x.Row(i)
-		for k, f := range feats {
-			if sks[f] == nil {
-				sks[f] = New(eps)
-			}
-			sks[f].Add(float64(vals[k]))
-		}
-	}
-	return sks
+	return NewPass(x, eps).Canonical()
 }

@@ -18,10 +18,18 @@
 //
 // Two consumers drive the sketch:
 //
-//   - Canonical builds one sketch per feature by inserting values in
-//     global row order, making candidate splits independent of how the
-//     matrix is partitioned — the property every cross-quadrant
-//     bit-identity guarantee in this repository rests on.
+//   - A Pass sketches an in-memory matrix. Its Local step sketches one
+//     worker's row range and reports the tuple counts the modelled
+//     sketch exchange charges; its Canonical step builds one sketch per
+//     feature by inserting values in global row order, making candidate
+//     splits independent of how the matrix is partitioned — the
+//     property every cross-quadrant bit-identity guarantee in this
+//     repository rests on. The pass recycles its sketch sets (GK.Reset)
+//     and runs the canonical step on GOMAXPROCS goroutines over
+//     contiguous feature ranges; each feature's sketch still sees its
+//     values in row order, so the result is the same for any goroutine
+//     count. The trainer's prep sketch (QD1–QD3), step 1 of the QD4
+//     transformation and ingest.Prebinned (through Canonical) run it.
 //   - internal/ingest feeds the same sketches incrementally while
 //     streaming row blocks off disk, so one pass over the source derives
 //     the bin boundaries stored in a .vbin cache. Because blocks are

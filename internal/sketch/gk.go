@@ -38,6 +38,15 @@ func New(eps float64) *GK {
 	return &GK{eps: eps, buf: make([]float64, 0, cap), bufCap: cap, mergeE: 1}
 }
 
+// Reset empties the sketch in place, keeping its buffers' capacity. The
+// sketch then behaves exactly like New(s.Eps()).
+func (s *GK) Reset() {
+	s.n = 0
+	s.tuples = s.tuples[:0]
+	s.buf = s.buf[:0]
+	s.mergeE = 1
+}
+
 // Eps returns the nominal error bound the sketch was created with.
 func (s *GK) Eps() float64 { return s.eps }
 
