@@ -195,7 +195,7 @@ func (b *batcher) takeLocked(bt *pendingBatch) {
 func (b *batcher) flush(bt *pendingBatch, cause int) {
 	now := b.clk.Now()
 	for _, t0 := range bt.enq {
-		b.metrics.observeQueueWait(now.Sub(t0))
+		b.metrics.queueWait.observe(now.Sub(t0))
 	}
 	b.metrics.batches.Add(1)
 	b.metrics.batchedRows.Add(int64(len(bt.feats)))

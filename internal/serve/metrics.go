@@ -16,6 +16,35 @@ const (
 	latBucketFloor = 10 * time.Microsecond // bucket 0 upper bound
 )
 
+// latHist is a fixed-bucket latency histogram, cheap enough to update on
+// every request without allocating.
+type latHist [latBuckets]atomic.Int64
+
+func (h *latHist) observe(d time.Duration) {
+	b, bound := 0, latBucketFloor
+	for b < latBuckets-1 && d > bound {
+		b++
+		bound <<= 1
+	}
+	h[b].Add(1)
+}
+
+// summary reads the histogram. Concurrent updates may land between the
+// bucket reads.
+func (h *latHist) summary() Latency {
+	var counts [latBuckets]int64
+	var total int64
+	for i := range counts {
+		counts[i] = h[i].Load()
+		total += counts[i]
+	}
+	return Latency{
+		Count: total,
+		P50:   quantileMs(counts[:], total, 0.50),
+		P99:   quantileMs(counts[:], total, 0.99),
+	}
+}
+
 // modelMetrics is the accounting shared by every version of a served
 // model name. All fields are atomics; updates never block prediction.
 type modelMetrics struct {
@@ -24,26 +53,21 @@ type modelMetrics struct {
 	rejected atomic.Int64 // requests that gave up waiting for admission
 	rows     atomic.Int64 // instances scored
 	inFlight atomic.Int64 // predict requests currently admitted
-	buckets  [latBuckets]atomic.Int64
+	latency  latHist      // successful requests, admission wait to response written
+
+	// Stages of successful requests: reading and decoding the body,
+	// scoring (including any coalescing-queue wait), and encoding and
+	// writing the response. With the admission wait they add up to
+	// latency.
+	decode, score, encode latHist
 
 	// Micro-batching accounting (see batcher.go). batchedRows/batches is
 	// the achieved batching factor.
-	batches     atomic.Int64             // coalesced batches flushed
-	batchedRows atomic.Int64             // rows scored through batches
-	batchInline atomic.Int64             // rows that took the inline fast path
-	batchFlush  [3]atomic.Int64          // flushes by cause: full, deadline, drain
-	queueWait   [latBuckets]atomic.Int64 // per-row time spent queued
-}
-
-// observeQueueWait records how long one row waited in the coalescing
-// queue before its batch flushed.
-func (m *modelMetrics) observeQueueWait(d time.Duration) {
-	b, bound := 0, latBucketFloor
-	for b < latBuckets-1 && d > bound {
-		b++
-		bound <<= 1
-	}
-	m.queueWait[b].Add(1)
+	batches     atomic.Int64    // coalesced batches flushed
+	batchedRows atomic.Int64    // rows scored through batches
+	batchInline atomic.Int64    // rows that took the inline fast path
+	batchFlush  [3]atomic.Int64 // flushes by cause: full, deadline, drain
+	queueWait   latHist         // per-row time spent queued
 }
 
 // observe records one completed request.
@@ -54,12 +78,14 @@ func (m *modelMetrics) observe(d time.Duration, rows int, failed bool) {
 		m.errors.Add(1)
 		return
 	}
-	b, bound := 0, latBucketFloor
-	for b < latBuckets-1 && d > bound {
-		b++
-		bound <<= 1
-	}
-	m.buckets[b].Add(1)
+	m.latency.observe(d)
+}
+
+// observeStages records the stage times of one successful request.
+func (m *modelMetrics) observeStages(decode, score, encode time.Duration) {
+	m.decode.observe(decode)
+	m.score.observe(score)
+	m.encode.observe(encode)
 }
 
 // MetricsSnapshot is one model's /metricz entry.
@@ -72,6 +98,10 @@ type MetricsSnapshot struct {
 	Rows      int64   `json:"rows"`
 	InFlight  int64   `json:"in_flight"`
 	LatencyMs Latency `json:"latency_ms"`
+	// The stages of the requests LatencyMs counts.
+	DecodeMs Latency `json:"decode_ms"`
+	ScoreMs  Latency `json:"score_ms"`
+	EncodeMs Latency `json:"encode_ms"`
 	// Batching is present when the model serves with micro-batching.
 	Batching *BatchingSnapshot `json:"batching,omitempty"`
 }
@@ -105,33 +135,20 @@ type Latency struct {
 // each individual figure is exact at its read point. batching selects
 // whether the micro-batching section is included.
 func (m *modelMetrics) snapshot(name string, version int, batching bool) MetricsSnapshot {
-	var counts [latBuckets]int64
-	var total int64
-	for i := range counts {
-		counts[i] = m.buckets[i].Load()
-		total += counts[i]
-	}
 	snap := MetricsSnapshot{
-		Model:    name,
-		Version:  version,
-		Requests: m.requests.Load(),
-		Errors:   m.errors.Load(),
-		Rejected: m.rejected.Load(),
-		Rows:     m.rows.Load(),
-		InFlight: m.inFlight.Load(),
-		LatencyMs: Latency{
-			Count: total,
-			P50:   quantileMs(counts[:], total, 0.50),
-			P99:   quantileMs(counts[:], total, 0.99),
-		},
+		Model:     name,
+		Version:   version,
+		Requests:  m.requests.Load(),
+		Errors:    m.errors.Load(),
+		Rejected:  m.rejected.Load(),
+		Rows:      m.rows.Load(),
+		InFlight:  m.inFlight.Load(),
+		LatencyMs: m.latency.summary(),
+		DecodeMs:  m.decode.summary(),
+		ScoreMs:   m.score.summary(),
+		EncodeMs:  m.encode.summary(),
 	}
 	if batching {
-		var waits [latBuckets]int64
-		var waited int64
-		for i := range waits {
-			waits[i] = m.queueWait[i].Load()
-			waited += waits[i]
-		}
 		bs := &BatchingSnapshot{
 			Batches:       m.batches.Load(),
 			BatchedRows:   m.batchedRows.Load(),
@@ -139,11 +156,7 @@ func (m *modelMetrics) snapshot(name string, version int, batching bool) Metrics
 			FlushDeadline: m.batchFlush[flushDeadline].Load(),
 			FlushDrain:    m.batchFlush[flushDrain].Load(),
 			Inline:        m.batchInline.Load(),
-			QueueWaitMs: Latency{
-				Count: waited,
-				P50:   quantileMs(waits[:], waited, 0.50),
-				P99:   quantileMs(waits[:], waited, 0.99),
-			},
+			QueueWaitMs:   m.queueWait.summary(),
 		}
 		if bs.Batches > 0 {
 			bs.Factor = float64(bs.BatchedRows) / float64(bs.Batches)

@@ -34,6 +34,9 @@ type handle struct {
 	numFeature int
 	inflight   chan struct{}
 	metrics    *modelMetrics
+	// respPrefix is the encoded head of every predict response this
+	// version sends (see responsePrefix).
+	respPrefix []byte
 	// batcher, when non-nil, coalesces this version's single-row requests.
 	// It is per-version (unlike metrics/inflight): rows it holds are scored
 	// by exactly this predictor, so hot-swaps never mix versions.
@@ -154,6 +157,7 @@ func (r *Registry) compile(name, source string, model *gbdt.Model, prior *handle
 		h.inflight = make(chan struct{}, r.opts.MaxInFlight)
 		h.metrics = &modelMetrics{}
 	}
+	h.respPrefix = responsePrefix(name, h.version, pred.NumClass())
 	if cfg := r.opts.batchConfig(name); cfg.MaxRows > 1 {
 		h.batcher = newBatcher(pred, cfg, r.opts.clock, h.metrics)
 	}

@@ -226,6 +226,12 @@ func TestMetricz(t *testing.T) {
 	if m.LatencyMs.Count != 2 || m.LatencyMs.P50 <= 0 || m.LatencyMs.P99 < m.LatencyMs.P50 {
 		t.Fatalf("latency %+v", m.LatencyMs)
 	}
+	// Each stage is recorded for exactly the requests latency_ms counts.
+	for name, st := range map[string]Latency{"decode": m.DecodeMs, "score": m.ScoreMs, "encode": m.EncodeMs} {
+		if st.Count != m.LatencyMs.Count || st.P50 <= 0 || st.P50 > m.LatencyMs.P99 {
+			t.Fatalf("%s stage %+v against latency %+v", name, st, m.LatencyMs)
+		}
+	}
 }
 
 // TestMetriczLatencyIncludesAdmissionWait holds the model's only

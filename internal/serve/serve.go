@@ -39,14 +39,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -386,13 +385,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	h.metrics.inFlight.Add(1)
 	defer h.metrics.inFlight.Add(-1)
+	admitted := time.Now()
 
-	req, feats, vals, status, err := decodePredictRequest(r.Body, s.opts.MaxBatchRows)
-	if err != nil {
+	// The scratch goes back to the pool only once the response is written:
+	// the rows handed to the batcher are views into it.
+	sc := getScratch()
+	defer putScratch(sc)
+	if status, err := sc.decode(r.Body, r.ContentLength, s.opts.MaxBatchRows); err != nil {
 		writeError(w, status, err.Error())
 		h.metrics.observe(time.Since(start), 0, true)
 		return
 	}
+	decoded := time.Now()
 	// Single-row requests coalesce with concurrent ones into a shared
 	// blocked scoring call (see batcher.go); multi-row requests are
 	// already batches and score directly, as does everything when the
@@ -400,59 +404,29 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// request worth waiting for).
 	var margins []float64
 	batched := false
-	if h.batcher != nil && len(feats) == 1 {
-		margins, batched = h.batcher.enqueue(feats[0], vals[0])
+	if h.batcher != nil && len(sc.feats) == 1 {
+		margins, batched = h.batcher.enqueue(sc.feats[0], sc.vals[0])
 	}
 	if !batched {
-		margins = h.pred.PredictRows(feats, vals)
+		margins = h.pred.PredictRows(sc.feats, sc.vals)
 	}
+	var probs []float64
+	if sc.proba {
+		probs = h.pred.Probabilities(margins)
+	}
+	scored := time.Now()
 
-	k := h.pred.NumClass()
-	resp := PredictResponse{
-		Model:    h.name,
-		Version:  h.version,
-		NumClass: k,
-		Scores:   reshape(margins, k),
+	var err error
+	sc.out, err = appendPredictResponse(sc.out, h.respPrefix, margins, probs, h.pred.NumClass())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		h.metrics.observe(time.Since(start), len(sc.feats), true)
+		return
 	}
-	if req.Proba {
-		resp.Probabilities = reshape(h.pred.Probabilities(margins), k)
-	}
-	writeJSON(w, http.StatusOK, resp)
-	h.metrics.observe(time.Since(start), len(feats), false)
-}
-
-// decodePredictRequest parses and validates a predict body, returning the
-// normalized sparse rows ready for the prediction engine. On error the
-// returned status is the HTTP code to answer with.
-func decodePredictRequest(body io.Reader, maxRows int) (*PredictRequest, [][]uint32, [][]float32, int, error) {
-	var req PredictRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, nil, http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
-	}
-	n := len(req.Rows) + len(req.Dense)
-	if n == 0 {
-		return nil, nil, nil, http.StatusBadRequest, fmt.Errorf("empty request: provide rows or dense")
-	}
-	if maxRows > 0 && n > maxRows {
-		return nil, nil, nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%d rows exceeds batch limit %d", n, maxRows)
-	}
-	feats := make([][]uint32, 0, n)
-	vals := make([][]float32, 0, n)
-	for i := range req.Rows {
-		feat, val, err := normalizeSparse(req.Rows[i])
-		if err != nil {
-			return nil, nil, nil, http.StatusBadRequest, fmt.Errorf("row %d: %w", i, err)
-		}
-		feats, vals = append(feats, feat), append(vals, val)
-	}
-	for _, dense := range req.Dense {
-		feat, val := sparsify(dense)
-		feats, vals = append(feats, feat), append(vals, val)
-	}
-	return &req, feats, vals, http.StatusOK, nil
+	writeBody(w, http.StatusOK, sc.out)
+	end := time.Now()
+	h.metrics.observe(end.Sub(start), len(sc.feats), false)
+	h.metrics.observeStages(decoded.Sub(admitted), scored.Sub(decoded), end.Sub(scored))
 }
 
 // SwapRequest is the admin POST /v1/models/{name} body: the encoded-model
@@ -549,61 +523,34 @@ func (s *Server) handleAdminDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
-// normalizeSparse validates one sparse row and returns it sorted by
-// feature id, as the prediction engine requires.
-func normalizeSparse(row SparseRow) ([]uint32, []float32, error) {
-	if len(row.Indices) != len(row.Values) {
-		return nil, nil, fmt.Errorf("%d indices but %d values", len(row.Indices), len(row.Values))
-	}
-	feat := append([]uint32(nil), row.Indices...)
-	val := append([]float32(nil), row.Values...)
-	if !sort.SliceIsSorted(feat, func(i, j int) bool { return feat[i] < feat[j] }) {
-		order := make([]int, len(feat))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool { return feat[order[i]] < feat[order[j]] })
-		sf := make([]uint32, len(feat))
-		sv := make([]float32, len(val))
-		for i, o := range order {
-			sf[i] = feat[o]
-			sv[i] = val[o]
-		}
-		feat, val = sf, sv
-	}
-	for i := 1; i < len(feat); i++ {
-		if feat[i] == feat[i-1] {
-			return nil, nil, fmt.Errorf("duplicate feature index %d", feat[i])
-		}
-	}
-	return feat, val, nil
-}
+// jsonContentType is assigned into response headers as is, so setting
+// it does not allocate.
+var jsonContentType = []string{"application/json"}
 
-// sparsify converts a dense row to sorted sparse form, dropping zeros
-// (the storage convention of the training data).
-func sparsify(dense []float32) ([]uint32, []float32) {
-	var feat []uint32
-	var val []float32
-	for j, v := range dense {
-		if v != 0 {
-			feat = append(feat, uint32(j))
-			val = append(val, v)
-		}
-	}
-	return feat, val
-}
-
-// reshape splits a flat stride-k score vector into per-row slices.
-func reshape(flat []float64, k int) [][]float64 {
-	rows := make([][]float64, len(flat)/k)
-	for i := range rows {
-		rows[i] = flat[i*k : (i+1)*k]
-	}
-	return rows
-}
-
+// writeJSON encodes v before committing the status, so a value that
+// cannot be encoded answers 500 in the error envelope instead of a 200
+// with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	sc := getScratch()
+	defer putScratch(sc)
+	buf := bytes.NewBuffer(sc.out)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		// The envelope holds two strings, which always encode.
+		_ = json.NewEncoder(buf).Encode(apiError{Error: ErrorBody{
+			Code:    errorCode(code),
+			Message: "encode response: " + err.Error(),
+		}})
+	}
+	sc.out = buf.Bytes()
+	writeBody(w, code, sc.out)
+}
+
+// writeBody answers with status and an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body)
 }
