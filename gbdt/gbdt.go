@@ -121,6 +121,10 @@ func ParseQuadrant(s string) (Quadrant, error) { return core.ParseQuadrant(s) }
 // recommendation with its rationale.
 type QuadrantSelection = core.Selection
 
+// ErrHyperParameter is the error (test with errors.Is) Train returns for
+// a learning rate or regularization parameter outside its domain.
+var ErrHyperParameter = core.ErrHyperParameter
+
 // NetworkModel converts communication volume to simulated time.
 type NetworkModel = cluster.NetworkModel
 
@@ -164,8 +168,11 @@ type Options struct {
 	Layers int
 	Splits int
 
-	LearningRate float64 // default 0.3
-	Lambda       float64 // default 1
+	// LearningRate (default 0.3) must be finite and > 0; Lambda
+	// (default 1), Gamma and MinChildHess finite and >= 0. Train rejects
+	// anything else with ErrHyperParameter.
+	LearningRate float64
+	Lambda       float64
 	Gamma        float64
 	MinChildHess float64
 

@@ -2,10 +2,12 @@ package gbdt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -199,5 +201,41 @@ func TestTrainRejectsNonFiniteLabels(t *testing.T) {
 				t.Errorf("%s with label %v: error %v, want %q", task.name, bad, err, want)
 			}
 		}
+	}
+}
+
+func TestTrainRejectsHyperParametersOutsideDomain(t *testing.T) {
+	ds, err := Synthetic(SyntheticConfig{N: 200, D: 8, C: 2, InformativeRatio: 0.5, Density: 0.5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(*Options)
+		want string
+	}{
+		{"negative gamma", func(o *Options) { o.Gamma = -0.1 }, "Gamma = -0.1"},
+		{"NaN gamma", func(o *Options) { o.Gamma = nan }, "Gamma = NaN"},
+		{"infinite gamma", func(o *Options) { o.Gamma = inf }, "Gamma = +Inf"},
+		{"negative min child hess", func(o *Options) { o.MinChildHess = -1 }, "MinChildHess = -1"},
+		{"NaN min child hess", func(o *Options) { o.MinChildHess = nan }, "MinChildHess = NaN"},
+		{"negative lambda", func(o *Options) { o.Lambda = -1 }, "Lambda = -1"},
+		{"infinite lambda", func(o *Options) { o.Lambda = inf }, "Lambda = +Inf"},
+		{"negative learning rate", func(o *Options) { o.LearningRate = -0.3 }, "LearningRate = -0.3"},
+		{"NaN learning rate", func(o *Options) { o.LearningRate = nan }, "LearningRate = NaN"},
+		{"infinite learning rate", func(o *Options) { o.LearningRate = -inf }, "LearningRate = -Inf"},
+	}
+	for _, tc := range cases {
+		opts := Options{Workers: 2, Trees: 1, Layers: 3}
+		tc.set(&opts)
+		_, _, err := Train(ds, opts)
+		if !errors.Is(err, ErrHyperParameter) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want ErrHyperParameter naming %q", tc.name, err, tc.want)
+		}
+	}
+	// The boundary values are inside the domain.
+	if _, _, err := Train(ds, Options{Workers: 2, Trees: 1, Layers: 3, Gamma: 0, MinChildHess: 0, LearningRate: 1e-9}); err != nil {
+		t.Fatalf("zero gamma and min child hess: %v", err)
 	}
 }

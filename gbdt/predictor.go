@@ -136,9 +136,20 @@ const predictRowsChunk = 64
 // predictor's worker pool, returning margins row-major with stride
 // NumClass. This is the batch path behind cmd/veroserve.
 func (p *Predictor) PredictRows(feats [][]uint32, vals [][]float32) []float64 {
+	out := make([]float64, len(feats)*p.flat.NumClass())
+	p.PredictRowsInto(feats, vals, out)
+	return out
+}
+
+// PredictRowsInto is PredictRows into a caller-owned buffer: out must
+// have length len(feats)*NumClass. A batch that one worker scores (at
+// most 64 rows, or a one-worker predictor) allocates nothing once the
+// scoring scratch is warm.
+func (p *Predictor) PredictRowsInto(feats [][]uint32, vals [][]float32, out []float64) {
 	n := len(feats)
-	k := p.flat.NumClass()
-	out := make([]float64, n*k)
+	if len(out) != n*p.flat.NumClass() {
+		panic(fmt.Sprintf("gbdt: PredictRowsInto: len(out) = %d, want %d rows x %d classes", len(out), n, p.flat.NumClass()))
+	}
 	chunk := predictRowsChunk
 	if p.blockRows > chunk {
 		chunk = p.blockRows
@@ -149,7 +160,7 @@ func (p *Predictor) PredictRows(feats [][]uint32, vals [][]float32) []float64 {
 	}
 	if workers <= 1 {
 		p.scoreChunk(feats, vals, out, 0, n)
-		return out
+		return
 	}
 	next := make(chan int)
 	go func() {
@@ -173,7 +184,6 @@ func (p *Predictor) PredictRows(feats [][]uint32, vals [][]float32) []float64 {
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // scoreChunk scores rows [lo, hi) on the calling goroutine, through the

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -241,11 +242,46 @@ func (c *Config) setDefaults() error {
 	if c.SketchEps == 0 {
 		c.SketchEps = 0.01
 	}
+	if err := c.checkRegularization(); err != nil {
+		return err
+	}
 	if c.FullCopy && c.Quadrant != QD4 {
 		return fmt.Errorf("core: FullCopy (feature-parallel) requires QD4, got %v", c.Quadrant)
 	}
 	return nil
 }
+
+// checkRegularization enforces the objective's hyper-parameter contract
+// once defaults are in place: Gamma, MinChildHess and Lambda must be
+// finite and non-negative, LearningRate finite and positive. A negative
+// Gamma would let a feature with no mass on a node "split" with gain
+// -Gamma, and Lambda <= -H divides a leaf weight by zero or flips its
+// sign.
+func (c *Config) checkRegularization() error {
+	for _, p := range []struct {
+		name     string
+		v        float64
+		positive bool
+	}{
+		{"LearningRate", c.LearningRate, true},
+		{"Lambda", c.Lambda, false},
+		{"Gamma", c.Gamma, false},
+		{"MinChildHess", c.MinChildHess, false},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) || p.v < 0 || p.positive && p.v == 0 {
+			want := ">= 0"
+			if p.positive {
+				want = "> 0"
+			}
+			return fmt.Errorf("%w: %s = %v, want finite and %s", ErrHyperParameter, p.name, p.v, want)
+		}
+	}
+	return nil
+}
+
+// ErrHyperParameter marks a training configuration whose regularization
+// or learning rate lies outside the objective's domain.
+var ErrHyperParameter = errors.New("core: invalid hyper-parameter")
 
 // Selection records an auto-quadrant decision (Config.Quadrant ==
 // QuadrantAuto): the chosen quadrant, the workload the advisor scored,

@@ -27,7 +27,7 @@ type horizontalEngine struct {
 	n2i    []*index.NodeToInstance
 	i2n    []*index.InstanceToNode
 	agg    map[int32]*histogram.Hist // aggregated histograms, by node id
-	layout histogram.Layout
+	layout histogram.Layout          // uniform: the paper's q-bin Sizehist is the aggregation payload
 }
 
 // splitWireBytes is the serialized size of one best-split record
@@ -49,7 +49,7 @@ func (e *horizontalEngine) prepare() error {
 	}
 	e.flatG = make([][]float64, t.w)
 	e.flatH = make([][]float64, t.w)
-	e.layout = histogram.Layout{NumFeat: t.d, MaxBins: t.maxBins, NumClass: t.c}
+	e.layout = histogram.UniformLayout(t.d, t.maxBins, t.c)
 	e.agg = make(map[int32]*histogram.Hist)
 
 	dataGauge := t.cl.Stats().Mem("data")
@@ -360,10 +360,9 @@ func (e *horizontalEngine) aggregateMerged(h *histogram.Hist) {
 func (e *horizontalEngine) featureBounds() []int {
 	t := e.t
 	per := (t.d + t.w - 1) / t.w
-	stride := e.layout.MaxBins * e.layout.NumClass
 	bounds := make([]int, t.w+1)
 	for v := 1; v <= t.w; v++ {
-		bounds[v] = min(v*per, t.d) * stride
+		bounds[v] = e.layout.Offset(min(v*per, t.d)) * e.layout.NumClass
 	}
 	return bounds
 }

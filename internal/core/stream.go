@@ -349,7 +349,7 @@ func (e *horizontalEngine) prepareStreamed() error {
 	}
 	e.flatG = make([][]float64, t.w)
 	e.flatH = make([][]float64, t.w)
-	e.layout = histogram.Layout{NumFeat: t.d, MaxBins: t.maxBins, NumClass: t.c}
+	e.layout = histogram.UniformLayout(t.d, t.maxBins, t.c)
 	e.agg = make(map[int32]*histogram.Hist)
 	dataGauge := t.cl.Stats().Mem("data")
 	if t.cfg.Quadrant == QD2 {
@@ -515,21 +515,11 @@ func (e *verticalEngine) prepareStreamedQD3() error {
 	e.groups = partition.GroupColumnsBalanced(featCount, t.w)
 	e.buildFeatureMaps()
 	dataGauge := t.cl.Stats().Mem("data")
-	e.numBins = make([][]int, t.w)
-	e.n2i = make([]*index.NodeToInstance, t.w)
+	e.allocWorkers()
 	e.i2n = make([]*index.InstanceToNode, t.w)
-	e.hist = make([]map[int32]*histogram.Hist, t.w)
-	e.layout = make([]histogram.Layout, t.w)
 	t.cl.Parallel("prep.bin", func(w int) {
-		numBins := make([]int, len(e.groups[w]))
-		for slot, f := range e.groups[w] {
-			numBins[slot] = len(t.binner.Splits[f])
-		}
-		e.numBins[w] = numBins
-		e.n2i[w] = index.NewNodeToInstance(t.n)
+		e.initWorker(w)
 		e.i2n[w] = index.NewInstanceToNode(t.n)
-		e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-		e.hist[w] = make(map[int32]*histogram.Hist)
 		dataGauge.Set(w, t.stream.perWorker+int64(t.n)*4)
 	})
 	shuffleBytes := t.ds.NNZ() * 12 * int64(t.w-1) / int64(t.w)
@@ -575,23 +565,15 @@ func (e *verticalEngine) prepareStreamedVero() error {
 	if err := t.checkMaxBins(); err != nil {
 		return err
 	}
-	e.n2i = make([]*index.NodeToInstance, t.w)
-	e.hist = make([]map[int32]*histogram.Hist, t.w)
-	e.layout = make([]histogram.Layout, t.w)
-	e.numBins = make([][]int, t.w)
+	e.allocWorkers()
 	e.blocks = make([]*rowBlockBuilder, t.w)
 	dataGauge := t.cl.Stats().Mem("data")
 	for w := 0; w < t.w; w++ {
-		e.n2i[w] = index.NewNodeToInstance(t.n)
-		e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-		e.hist[w] = make(map[int32]*histogram.Hist)
-		numBins := make([]int, len(e.groups[w]))
+		e.initWorker(w)
 		emit := make([]uint32, len(e.groups[w]))
-		for slot, f := range e.groups[w] {
-			numBins[slot] = len(t.binner.Splits[f])
+		for slot := range emit {
 			emit[slot] = uint32(slot)
 		}
-		e.numBins[w] = numBins
 		e.blocks[w] = newRowBlockBuilder(t.stream, w, 0, t.n, e.groups[w], emit)
 		dataGauge.Set(w, t.stream.perWorker+int64(t.n)*4)
 	}

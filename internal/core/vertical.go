@@ -27,12 +27,11 @@ type verticalEngine struct {
 	fullRows *sparse.BinnedCSR   // QD4 FullCopy (feature-parallel)
 	cols     []*sparse.BinnedCSC // QD3: per-worker full columns (slot-indexed)
 	blocks   []*rowBlockBuilder  // QD4 out-of-core: per-worker row rebuilders
-	numBins  [][]int             // per worker, per slot
 	n2i      []*index.NodeToInstance
 	i2n      []*index.InstanceToNode // QD3 hybrid
 	cw       []*index.ColumnWise     // QD3 column-wise (Yggdrasil)
 	hist     []map[int32]*histogram.Hist
-	layout   []histogram.Layout
+	layout   []histogram.Layout // bin-exact, per worker
 
 	// scratch holds the non-leader workers' redundant-compute gradient
 	// buffers: every worker computes all gradients (Section 4.2.1 step 5),
@@ -69,13 +68,10 @@ func (e *verticalEngine) prepare() error {
 	e.buildFeatureMaps()
 	dataGauge := t.cl.Stats().Mem("data")
 
+	e.allocWorkers()
 	if t.cfg.Quadrant == QD3 {
 		e.cols = make([]*sparse.BinnedCSC, t.w)
-		e.numBins = make([][]int, t.w)
-		e.n2i = make([]*index.NodeToInstance, t.w)
 		e.i2n = make([]*index.InstanceToNode, t.w)
-		e.hist = make([]map[int32]*histogram.Hist, t.w)
-		e.layout = make([]histogram.Layout, t.w)
 		if t.cfg.ColumnIndex == IndexColumnWise {
 			e.cw = make([]*index.ColumnWise, t.w)
 		}
@@ -83,10 +79,8 @@ func (e *verticalEngine) prepare() error {
 		binPrep := func(w int) {
 			sub := t.ds.X.SelectColumns(e.groups[w])
 			subBinner := &sparse.Binner{Splits: make([][]float32, len(e.groups[w]))}
-			numBins := make([]int, len(e.groups[w]))
 			for slot, f := range e.groups[w] {
 				subBinner.Splits[slot] = t.binner.Splits[f]
-				numBins[slot] = len(t.binner.Splits[f])
 			}
 			binned, err := subBinner.BinCSR(sub)
 			if err != nil {
@@ -94,11 +88,8 @@ func (e *verticalEngine) prepare() error {
 				return
 			}
 			e.cols[w] = binned.ToCSC()
-			e.numBins[w] = numBins
-			e.n2i[w] = index.NewNodeToInstance(t.n)
+			e.initWorker(w)
 			e.i2n[w] = index.NewInstanceToNode(t.n)
-			e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-			e.hist[w] = make(map[int32]*histogram.Hist)
 			if e.cw != nil {
 				colLens := make([]int, len(e.groups[w]))
 				for j := range colLens {
@@ -139,19 +130,8 @@ func (e *verticalEngine) prepare() error {
 		return err
 	}
 	e.fullRows = binned
-	e.n2i = make([]*index.NodeToInstance, t.w)
-	e.hist = make([]map[int32]*histogram.Hist, t.w)
-	e.layout = make([]histogram.Layout, t.w)
-	e.numBins = make([][]int, t.w)
 	for w := 0; w < t.w; w++ {
-		e.n2i[w] = index.NewNodeToInstance(t.n)
-		e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-		e.hist[w] = make(map[int32]*histogram.Hist)
-		numBins := make([]int, len(e.groups[w]))
-		for slot, f := range e.groups[w] {
-			numBins[slot] = len(t.binner.Splits[f])
-		}
-		e.numBins[w] = numBins
+		e.initWorker(w)
 		// Feature-parallel's defining cost: the whole dataset on
 		// every worker (Appendix D).
 		dataGauge.Set(w, binnedCSRBytes(binned)+int64(t.n)*4)
@@ -201,10 +181,7 @@ func (e *verticalEngine) prepareVero() error {
 	if err := t.checkMaxBins(); err != nil {
 		return err
 	}
-	e.n2i = make([]*index.NodeToInstance, t.w)
-	e.hist = make([]map[int32]*histogram.Hist, t.w)
-	e.layout = make([]histogram.Layout, t.w)
-	e.numBins = make([][]int, t.w)
+	e.allocWorkers()
 	dataGauge := t.cl.Stats().Mem("data")
 	for w := 0; w < t.w; w++ {
 		if e.shards[w] == nil {
@@ -213,10 +190,7 @@ func (e *verticalEngine) prepareVero() error {
 			// under ParallelLocal or a nil guard).
 			continue
 		}
-		e.n2i[w] = index.NewNodeToInstance(t.n)
-		e.layout[w] = histogram.Layout{NumFeat: len(e.groups[w]), MaxBins: t.maxBins, NumClass: t.c}
-		e.hist[w] = make(map[int32]*histogram.Hist)
-		e.numBins[w] = e.shards[w].NumBins
+		e.initWorker(w)
 		var blockBytes int64
 		for _, b := range e.shards[w].Data.Blocks {
 			blockBytes += int64(len(b.RowPtr))*8 + int64(b.NNZ())*6
@@ -224,6 +198,30 @@ func (e *verticalEngine) prepareVero() error {
 		dataGauge.Set(w, blockBytes+int64(t.n)*4)
 	}
 	return nil
+}
+
+// allocWorkers allocates the per-worker index, histogram and layout
+// tables that initWorker fills.
+func (e *verticalEngine) allocWorkers() {
+	w := e.t.w
+	e.n2i = make([]*index.NodeToInstance, w)
+	e.hist = make([]map[int32]*histogram.Hist, w)
+	e.layout = make([]histogram.Layout, w)
+}
+
+// initWorker gives worker w a node-to-instance index, an empty histogram
+// map and its bin-exact layout: each slot holds exactly the bins of its
+// feature's candidate splits, so no histogram carries the padding a
+// uniform q-bin slot would.
+func (e *verticalEngine) initWorker(w int) {
+	t := e.t
+	widths := make([]int, len(e.groups[w]))
+	for slot, f := range e.groups[w] {
+		widths[slot] = len(t.binner.Splits[f])
+	}
+	e.n2i[w] = index.NewNodeToInstance(t.n)
+	e.hist[w] = make(map[int32]*histogram.Hist)
+	e.layout[w] = histogram.NewLayout(widths, t.c)
 }
 
 // buildFeatureMaps fills ownerOf and slotOf from groups.
@@ -375,7 +373,7 @@ func (e *verticalEngine) layerSplits(frontier []*nodeInfo, last bool) map[int32]
 		find := func(i int) {
 			start := time.Now()
 			nd := frontier[i]
-			s := t.finder.FindBest(hm[nd.id], nd.totalG, nd.totalH, e.numBins[w])
+			s := t.finder.FindBest(hm[nd.id], nd.totalG, nd.totalH, nil)
 			if s.Valid {
 				s.Feature = e.groups[w][s.Feature] // slot -> global id
 			}

@@ -10,14 +10,29 @@ import (
 func TestLayoutSizeBytes(t *testing.T) {
 	// The paper's Age example (Section 3.1.4): D=330K, q=20, C=9 gives a
 	// per-node histogram of 2*330e3*20*9*8 bytes = 906 MB.
-	l := Layout{NumFeat: 330_000, MaxBins: 20, NumClass: 9}
+	l := UniformLayout(330_000, 20, 9)
 	if got := l.SizeBytes(); got != 950_400_000 {
 		t.Fatalf("SizeBytes = %d, want 950400000", got)
 	}
 }
 
+func TestNewLayoutOffsets(t *testing.T) {
+	l := NewLayout([]int{3, 0, 5}, 2)
+	if got := []int{l.Offset(0), l.Offset(1), l.Offset(2), l.Offset(3)}; got[0] != 0 || got[1] != 3 || got[2] != 4 || got[3] != 9 {
+		t.Fatalf("offsets = %v, want [0 3 4 9]", got)
+	}
+	if l.Width(1) != 1 || l.FloatsPerSide() != 18 || l.SizeBytes() != 2*18*8 {
+		t.Fatalf("width(1)=%d floats=%d bytes=%d", l.Width(1), l.FloatsPerSide(), l.SizeBytes())
+	}
+	h := New(l)
+	h.Add(2, 4, 1, 1, 2) // the last entry of the last slot
+	if h.Grad[17] != 1 || h.Hess[17] != 2 {
+		t.Fatal("slot 2 bin 4 class 1 is not the last entry")
+	}
+}
+
 func TestAddAt(t *testing.T) {
-	h := New(Layout{NumFeat: 3, MaxBins: 4, NumClass: 2})
+	h := New(UniformLayout(3, 4, 2))
 	h.Add(1, 2, 1, 0.5, 0.25)
 	h.Add(1, 2, 1, 0.5, 0.25)
 	g, hs := h.At(1, 2, 1)
@@ -30,7 +45,7 @@ func TestAddAt(t *testing.T) {
 }
 
 func TestAddVec(t *testing.T) {
-	h := New(Layout{NumFeat: 2, MaxBins: 2, NumClass: 3})
+	h := New(UniformLayout(2, 2, 3))
 	h.AddVec(1, 1, []float64{1, 2, 3}, []float64{4, 5, 6})
 	for k := 0; k < 3; k++ {
 		g, hs := h.At(1, 1, k)
@@ -51,7 +66,7 @@ func randomHist(rng *rand.Rand, l Layout) *Hist {
 
 func TestSubtractionRecoversSibling(t *testing.T) {
 	// Property: parent - left == right, element-wise.
-	l := Layout{NumFeat: 5, MaxBins: 8, NumClass: 3}
+	l := UniformLayout(5, 8, 3)
 	rng := rand.New(rand.NewSource(1))
 	left := randomHist(rng, l)
 	right := randomHist(rng, l)
@@ -74,11 +89,11 @@ func TestMergeLayoutMismatchPanics(t *testing.T) {
 			t.Fatal("Merge with mismatched layout did not panic")
 		}
 	}()
-	New(Layout{1, 2, 1}).Merge(New(Layout{1, 3, 1}))
+	New(UniformLayout(1, 2, 1)).Merge(New(UniformLayout(1, 3, 1)))
 }
 
 func TestResetAndClone(t *testing.T) {
-	h := New(Layout{NumFeat: 1, MaxBins: 2, NumClass: 1})
+	h := New(UniformLayout(1, 2, 1))
 	h.Add(0, 0, 0, 1, 1)
 	c := h.Clone()
 	h.Reset()
@@ -91,7 +106,7 @@ func TestResetAndClone(t *testing.T) {
 }
 
 func TestFeatTotals(t *testing.T) {
-	h := New(Layout{NumFeat: 2, MaxBins: 3, NumClass: 2})
+	h := New(UniformLayout(2, 3, 2))
 	h.Add(1, 0, 0, 1, 2)
 	h.Add(1, 2, 0, 3, 4)
 	h.Add(1, 1, 1, 5, 6)
@@ -150,7 +165,7 @@ func TestFindBestMatchesBruteForce(t *testing.T) {
 	f := &Finder{Lambda: 1.0, Gamma: 0.1}
 	for trial := 0; trial < 100; trial++ {
 		nb := 2 + rng.Intn(10)
-		h := New(Layout{NumFeat: 1, MaxBins: nb, NumClass: 1})
+		h := New(UniformLayout(1, nb, 1))
 		var totalG, totalH float64
 		for b := 0; b < nb; b++ {
 			g := rng.NormFloat64()
@@ -180,7 +195,7 @@ func TestFindBestPicksObviousSplit(t *testing.T) {
 	// Two bins: all-negative gradients in bin 0, all-positive in bin 1.
 	// The split must separate them at bin 0 with large gain.
 	f := &Finder{Lambda: 1.0}
-	h := New(Layout{NumFeat: 1, MaxBins: 2, NumClass: 1})
+	h := New(UniformLayout(1, 2, 1))
 	h.Add(0, 0, 0, -50, 25)
 	h.Add(0, 1, 0, 50, 25)
 	s := f.FindBest(h, []float64{0}, []float64{50}, []int{2})
@@ -195,7 +210,7 @@ func TestFindBestPicksObviousSplit(t *testing.T) {
 
 func TestFindBestHonorsMinChildHess(t *testing.T) {
 	f := &Finder{Lambda: 1.0, MinChildHess: 30}
-	h := New(Layout{NumFeat: 1, MaxBins: 2, NumClass: 1})
+	h := New(UniformLayout(1, 2, 1))
 	h.Add(0, 0, 0, -50, 25) // left child hess 25 < 30
 	h.Add(0, 1, 0, 50, 25)
 	s := f.FindBest(h, []float64{0}, []float64{50}, []int{2})
@@ -209,7 +224,7 @@ func TestFindBestDefaultDirection(t *testing.T) {
 	// the negative bin is worse than right. The finder must choose
 	// default-right.
 	f := &Finder{Lambda: 1.0}
-	h := New(Layout{NumFeat: 1, MaxBins: 2, NumClass: 1})
+	h := New(UniformLayout(1, 2, 1))
 	h.Add(0, 0, 0, -40, 20)
 	h.Add(0, 1, 0, 30, 15)
 	// Node totals include extra missing mass (g=+30, h=15).
@@ -224,7 +239,7 @@ func TestFindBestDefaultDirection(t *testing.T) {
 
 func TestFindBestSkipsSingleBinFeatures(t *testing.T) {
 	f := &Finder{Lambda: 1.0}
-	h := New(Layout{NumFeat: 2, MaxBins: 4, NumClass: 1})
+	h := New(UniformLayout(2, 4, 1))
 	h.Add(0, 0, 0, -50, 25) // feature 0 has only 1 real bin
 	h.Add(1, 0, 0, -50, 25)
 	h.Add(1, 3, 0, 50, 25)
@@ -236,7 +251,7 @@ func TestFindBestSkipsSingleBinFeatures(t *testing.T) {
 
 func TestGammaSuppressesWeakSplits(t *testing.T) {
 	f := &Finder{Lambda: 1.0, Gamma: 1e6}
-	h := New(Layout{NumFeat: 1, MaxBins: 2, NumClass: 1})
+	h := New(UniformLayout(1, 2, 1))
 	h.Add(0, 0, 0, -50, 25)
 	h.Add(0, 1, 0, 50, 25)
 	if s := f.FindBest(h, []float64{0}, []float64{50}, []int{2}); s.Valid {
@@ -265,12 +280,12 @@ func TestMultiClassGainAggregatesClasses(t *testing.T) {
 	// With two identical classes the gain must be exactly twice the
 	// single-class gain.
 	f := &Finder{Lambda: 1.0}
-	h1 := New(Layout{NumFeat: 1, MaxBins: 2, NumClass: 1})
+	h1 := New(UniformLayout(1, 2, 1))
 	h1.Add(0, 0, 0, -50, 25)
 	h1.Add(0, 1, 0, 50, 25)
 	s1 := f.FindBest(h1, []float64{0}, []float64{50}, []int{2})
 
-	h2 := New(Layout{NumFeat: 1, MaxBins: 2, NumClass: 2})
+	h2 := New(UniformLayout(1, 2, 2))
 	for k := 0; k < 2; k++ {
 		h2.Add(0, 0, k, -50, 25)
 		h2.Add(0, 1, k, 50, 25)
@@ -282,7 +297,7 @@ func TestMultiClassGainAggregatesClasses(t *testing.T) {
 }
 
 func TestMergeSubRoundTripQuick(t *testing.T) {
-	l := Layout{NumFeat: 2, MaxBins: 3, NumClass: 2}
+	l := UniformLayout(2, 3, 2)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomHist(rng, l)

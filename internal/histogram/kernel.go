@@ -22,11 +22,11 @@ package histogram
 // rowVec is the multiclass row kernel: the gradient vectors are sliced
 // once per row instead of once per entry.
 func (h *Hist) rowVec(feats []uint32, bins []uint16, g, hs []float64) {
-	hg, hh := h.Grad, h.Hess
-	mb, c := h.MaxBins, h.NumClass
+	hg, hh, off := h.Grad, h.Hess, *h.off
+	c := h.NumClass
 	bins = bins[:len(feats)]
 	for k, f := range feats {
-		i := (int(f)*mb + int(bins[k])) * c
+		i := (off[f] + int(bins[k])) * c
 		for j := 0; j < c; j++ {
 			hg[i+j] += g[j]
 			hh[i+j] += hs[j]
@@ -42,8 +42,7 @@ func (h *Hist) rowVec(feats []uint32, bins []uint16, g, hs []float64) {
 // into the gradient arrays.
 func (h *Hist) RowScan(insts []uint32, rowOff int, rowPtr []int64, feat []uint32, bin []uint16, grad, hess []float64, base int) {
 	if h.NumClass == 1 {
-		hg, hh := h.Grad, h.Hess
-		mb := h.MaxBins
+		hg, hh, off := h.Grad, h.Hess, *h.off
 		for _, inst := range insts {
 			r := int(inst) - rowOff
 			lo, hi := rowPtr[r], rowPtr[r+1]
@@ -51,7 +50,7 @@ func (h *Hist) RowScan(insts []uint32, rowOff int, rowPtr []int64, feat []uint32
 			bs = bs[:len(fs)] // hoist the bin bounds check
 			g, hs := grad[base+int(inst)], hess[base+int(inst)]
 			for k, f := range fs {
-				i := int(f)*mb + int(bs[k])
+				i := off[f] + int(bs[k])
 				hg[i] += g
 				hh[i] += hs
 			}
@@ -72,9 +71,9 @@ func (h *Hist) RowScan(insts []uint32, rowOff int, rowPtr []int64, feat []uint32
 // accumulated, at slot slotOf[f] — the feature-parallel full-copy shape
 // (LightGBM feature-parallel, Appendix D).
 func (h *Hist) RowScanOwned(insts []uint32, rowPtr []int64, feat []uint32, bin []uint16, ownerOf, slotOf []int32, owner int32, grad, hess []float64) {
+	off := *h.off
 	if h.NumClass == 1 {
 		hg, hh := h.Grad, h.Hess
-		mb := h.MaxBins
 		for _, inst := range insts {
 			lo, hi := rowPtr[inst], rowPtr[inst+1]
 			g, hs := grad[inst], hess[inst]
@@ -83,7 +82,7 @@ func (h *Hist) RowScanOwned(insts []uint32, rowPtr []int64, feat []uint32, bin [
 				if ownerOf[f] != owner {
 					continue
 				}
-				i := int(slotOf[f])*mb + int(bin[e])
+				i := off[slotOf[f]] + int(bin[e])
 				hg[i] += g
 				hh[i] += hs
 			}
@@ -100,7 +99,7 @@ func (h *Hist) RowScanOwned(insts []uint32, rowPtr []int64, feat []uint32, bin [
 			if ownerOf[f] != owner {
 				continue
 			}
-			i := (int(slotOf[f])*h.MaxBins + int(bin[e])) * c
+			i := (off[slotOf[f]] + int(bin[e])) * c
 			for j := 0; j < c; j++ {
 				h.Grad[i+j] += g[j]
 				h.Hess[i+j] += hs[j]
@@ -114,9 +113,9 @@ func (h *Hist) RowScanOwned(insts []uint32, rowPtr []int64, feat []uint32, bin [
 // are scanned and entries whose instance sits on node are accumulated into
 // feature slot col. nodeOf is the raw instance-to-node assignment array.
 func (h *Hist) ColumnScanNode(col int, insts []uint32, bins []uint16, nodeOf []int32, node int32, grad, hess []float64) {
+	colBase := h.Offset(col)
 	if h.NumClass == 1 {
 		hg, hh := h.Grad, h.Hess
-		colBase := col * h.MaxBins
 		bins = bins[:len(insts)]
 		for k, inst := range insts {
 			if nodeOf[inst] != node {
@@ -129,7 +128,7 @@ func (h *Hist) ColumnScanNode(col int, insts []uint32, bins []uint16, nodeOf []i
 		return
 	}
 	c := h.NumClass
-	colBase := col * h.MaxBins * c
+	colBase *= c
 	bins = bins[:len(insts)]
 	for k, inst := range insts {
 		if nodeOf[inst] != node {
@@ -148,9 +147,9 @@ func (h *Hist) ColumnScanNode(col int, insts []uint32, bins []uint16, nodeOf []i
 // the column-wise node-to-instance shape (QD3 with Yggdrasil's index),
 // where an index already knows which entry positions belong to the node.
 func (h *Hist) ColumnGather(col int, positions []uint32, insts []uint32, bins []uint16, grad, hess []float64) {
+	colBase := h.Offset(col)
 	if h.NumClass == 1 {
 		hg, hh := h.Grad, h.Hess
-		colBase := col * h.MaxBins
 		for _, pos := range positions {
 			i := colBase + int(bins[pos])
 			inst := insts[pos]
@@ -160,7 +159,7 @@ func (h *Hist) ColumnGather(col int, positions []uint32, insts []uint32, bins []
 		return
 	}
 	c := h.NumClass
-	colBase := col * h.MaxBins * c
+	colBase *= c
 	for _, pos := range positions {
 		i := colBase + int(bins[pos])*c
 		gi := int(insts[pos]) * c
@@ -175,7 +174,7 @@ func (h *Hist) ColumnGather(col int, positions []uint32, insts []uint32, bins []
 // flat index gi — AddVec without the caller-side sub-slicing, with the
 // C==1 fast path (used by the QD3 hybrid plan's binary-search arm).
 func (h *Hist) AddFlat(feat, bin int, grad, hess []float64, gi int) {
-	i := (feat*h.MaxBins + bin) * h.NumClass
+	i := h.offset(feat, bin)
 	if h.NumClass == 1 {
 		h.Grad[i] += grad[gi]
 		h.Hess[i] += hess[gi]
@@ -207,8 +206,8 @@ func ColumnScanRouted(gdst, hdst []float64, stride int, l Layout, col int, insts
 		return
 	}
 	bins = bins[:len(insts)]
+	colBase := l.Offset(col)
 	if l.NumClass == 1 {
-		colBase := col * l.MaxBins
 		for k, inst := range insts {
 			nid := nodeOf[inst]
 			if int(nid) >= len(slot) {
@@ -226,7 +225,7 @@ func ColumnScanRouted(gdst, hdst []float64, stride int, l Layout, col int, insts
 		return
 	}
 	c := l.NumClass
-	colBase := col * l.MaxBins * c
+	colBase *= c
 	for k, inst := range insts {
 		nid := nodeOf[inst]
 		if int(nid) >= len(slot) {

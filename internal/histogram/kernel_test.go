@@ -6,7 +6,8 @@ import (
 )
 
 // kernelFixture builds a random sparse column/row workload plus gradient
-// arrays for nClass classes over n instances.
+// arrays for nClass classes over n instances, on a bin-exact layout whose
+// slots have different widths.
 type kernelFixture struct {
 	layout     Layout
 	grad, hess []float64
@@ -20,7 +21,7 @@ func newKernelFixture(t *testing.T, nClass, n int, seed int64) *kernelFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	f := &kernelFixture{
-		layout: Layout{NumFeat: 7, MaxBins: 9, NumClass: nClass},
+		layout: NewLayout(fixtureWidths, nClass),
 		grad:   make([]float64, n*nClass),
 		hess:   make([]float64, n*nClass),
 		rowPtr: make([]int64, 1, n+1),
@@ -34,12 +35,16 @@ func newKernelFixture(t *testing.T, nClass, n int, seed int64) *kernelFixture {
 		start := rng.Intn(f.layout.NumFeat + 1 - nnz)
 		for k := 0; k < nnz; k++ {
 			f.feat = append(f.feat, uint32(start+k))
-			f.bin = append(f.bin, uint16(rng.Intn(f.layout.MaxBins)))
+			f.bin = append(f.bin, uint16(rng.Intn(f.layout.Width(start+k))))
 		}
 		f.rowPtr = append(f.rowPtr, int64(len(f.feat)))
 	}
 	return f
 }
+
+// fixtureWidths are the kernel fixture's slot widths; the 0-width slot
+// still gets one bin.
+var fixtureWidths = []int{9, 3, 0, 7, 5, 9, 2}
 
 func (f *kernelFixture) rows() int { return len(f.rowPtr) - 1 }
 
@@ -113,15 +118,15 @@ func TestRowScanOwnedMatchesFilteredAddVec(t *testing.T) {
 		const owner = int32(1)
 		ownerOf := make([]int32, f.layout.NumFeat)
 		slotOf := make([]int32, f.layout.NumFeat)
-		slots := 0
+		var widths []int
 		for j := range ownerOf {
 			ownerOf[j] = int32(j % 2)
 			if ownerOf[j] == owner {
-				slotOf[j] = int32(slots)
-				slots++
+				slotOf[j] = int32(len(widths))
+				widths = append(widths, f.layout.Width(j))
 			}
 		}
-		l := Layout{NumFeat: slots, MaxBins: f.layout.MaxBins, NumClass: c}
+		l := NewLayout(widths, c)
 		insts := []uint32{1, 2, 8, 40, 63}
 		want := New(l)
 		for _, inst := range insts {
@@ -154,12 +159,12 @@ func TestColumnScanNodeMatchesAddVec(t *testing.T) {
 	for _, c := range []int{1, 3} {
 		f := newKernelFixture(t, c, 64, 4)
 		rng := rand.New(rand.NewSource(40))
-		insts, bins := column(rng, 64, f.layout.MaxBins)
+		const node, col = int32(2), 4
+		insts, bins := column(rng, 64, f.layout.Width(col))
 		nodeOf := make([]int32, 64)
 		for i := range nodeOf {
 			nodeOf[i] = int32(rng.Intn(3))
 		}
-		const node, col = int32(2), 4
 		want := New(f.layout)
 		for k, inst := range insts {
 			if nodeOf[inst] != node {
@@ -177,14 +182,14 @@ func TestColumnGatherMatchesAddVec(t *testing.T) {
 	for _, c := range []int{1, 3} {
 		f := newKernelFixture(t, c, 64, 5)
 		rng := rand.New(rand.NewSource(50))
-		insts, bins := column(rng, 64, f.layout.MaxBins)
+		const col = 2
+		insts, bins := column(rng, 64, f.layout.Width(col))
 		var positions []uint32
 		for p := range insts {
 			if p%3 == 0 {
 				positions = append(positions, uint32(p))
 			}
 		}
-		const col = 2
 		want := New(f.layout)
 		for _, p := range positions {
 			inst := int(insts[p])
@@ -201,7 +206,8 @@ func TestAddFlatMatchesAddVec(t *testing.T) {
 		f := newKernelFixture(t, c, 16, 6)
 		want, got := New(f.layout), New(f.layout)
 		for i := 0; i < 16; i++ {
-			feat, bin := i%f.layout.NumFeat, (i*5)%f.layout.MaxBins
+			feat := i % f.layout.NumFeat
+			bin := (i * 5) % f.layout.Width(feat)
 			want.AddVec(feat, bin, f.grad[i*c:i*c+c], f.hess[i*c:i*c+c])
 			got.AddFlat(feat, bin, f.grad, f.hess, i*c)
 		}
@@ -213,13 +219,13 @@ func TestColumnScanRoutedMatchesPerNodeScans(t *testing.T) {
 	for _, c := range []int{1, 3} {
 		f := newKernelFixture(t, c, 64, 7)
 		rng := rand.New(rand.NewSource(70))
-		insts, bins := column(rng, 64, f.layout.MaxBins)
+		const col = 3
+		insts, bins := column(rng, 64, f.layout.Width(col))
 		nodeOf := make([]int32, 64)
 		for i := range nodeOf {
 			nodeOf[i] = int32(rng.Intn(5)) // nodes 0..4; only 1 and 3 build
 		}
 		slot := []int32{-1, 0, -1, 1} // node 4 is beyond the table
-		const col = 3
 
 		wants := []*Hist{New(f.layout), New(f.layout)}
 		for k, inst := range insts {

@@ -3,7 +3,7 @@ package histogram
 import "sync"
 
 // Pool is a layout-keyed histogram arena. One training run allocates
-// O(nodes x workers x trees) histograms, each 2 x NumFeat x MaxBins x C
+// O(nodes x workers x trees) histograms, each 2 x bins x C
 // float64s — recycling them across nodes, layers and trees removes the
 // dominant steady-state allocation of the training loop. Buffers are
 // recycled per layout, so one pool serves workers with different feature

@@ -4,7 +4,7 @@ import "testing"
 
 func TestPoolReuseReturnsZeroed(t *testing.T) {
 	p := NewPool()
-	l := Layout{NumFeat: 3, MaxBins: 4, NumClass: 2}
+	l := UniformLayout(3, 4, 2)
 
 	h := p.Get(l)
 	for i := range h.Grad {
@@ -29,8 +29,8 @@ func TestPoolReuseReturnsZeroed(t *testing.T) {
 
 func TestPoolLayoutMismatchAllocatesFresh(t *testing.T) {
 	p := NewPool()
-	small := Layout{NumFeat: 2, MaxBins: 4, NumClass: 1}
-	big := Layout{NumFeat: 8, MaxBins: 16, NumClass: 3}
+	small := UniformLayout(2, 4, 1)
+	big := UniformLayout(8, 16, 3)
 
 	h := p.Get(small)
 	p.Put(h)
@@ -55,7 +55,7 @@ func TestPoolLayoutMismatchAllocatesFresh(t *testing.T) {
 
 func TestPoolPutRejectsViews(t *testing.T) {
 	p := NewPool()
-	l := Layout{NumFeat: 2, MaxBins: 4, NumClass: 1}
+	l := UniformLayout(2, 4, 1)
 
 	// A histogram wrapping borrowed slices of the wrong length must be
 	// dropped, not recycled.
@@ -70,7 +70,7 @@ func TestPoolPutRejectsViews(t *testing.T) {
 
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool()
-	l := Layout{NumFeat: 4, MaxBins: 8, NumClass: 1}
+	l := UniformLayout(4, 8, 1)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func() {

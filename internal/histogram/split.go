@@ -1,5 +1,7 @@
 package histogram
 
+import "math"
+
 // Split finding per Equation 2 of the paper: for every candidate split of
 // every feature, compute
 //
@@ -103,7 +105,7 @@ func sumSlice(x []float64) float64 {
 // FindBest scans the histograms of node hist, whose per-class totals over
 // all node instances are totalG/totalH, and returns the best split across
 // the worker's feature slots. numBins[feat] gives the true candidate count
-// of each slot (<= MaxBins).
+// of each slot (at most its layout width); nil means every slot's width.
 func (f *Finder) FindBest(hist *Hist, totalG, totalH []float64, numBins []int) Split {
 	return f.FindBestInRange(hist, totalG, totalH, numBins, 0, hist.NumFeat)
 }
@@ -112,58 +114,227 @@ func (f *Finder) FindBest(hist *Hist, totalG, totalH []float64, numBins []int) S
 // Horizontal systems that shard aggregated histograms across workers
 // (LightGBM's reduce-scatter, DimBoost's parameter servers) use it for
 // per-worker split finding on their feature shard.
+//
+// The search is sparsity-aware (XGBoost's idea, applied to the histogram)
+// and exact: it returns bit for bit the split of the plain scan that
+// evaluates every bin of every slot.
+//   - A feature whose histogram is exactly zero on this node is skipped
+//     when Gamma >= 0: every candidate's gain is then -Gamma (or NaN), so
+//     none is valid.
+//   - A bin > 0 whose grad and hess are exactly zero in every class adds
+//     nothing to the prefix, so its candidates repeat the previous bin's
+//     with a higher bin index and lose every tie; it is skipped unless the
+//     previous evaluation's default-left fold changed the prefix (folding
+//     the missing mass in and out again can round its low bits away).
+//     Bin 0 is always evaluated: it alone carries the "missing left, every
+//     present value right" candidate.
+//
+// It allocates nothing for up to maxStackClass classes.
 func (f *Finder) FindBestInRange(hist *Hist, totalG, totalH []float64, numBins []int, featLo, featHi int) Split {
-	c := hist.NumClass
-	best := Split{Gain: 0, Valid: false}
-	parentScore := f.score(totalG, totalH)
-	totalHess := sumSlice(totalH)
+	if hist.NumClass == 1 {
+		return f.findScalar(hist, totalG[0], totalH[0], numBins, featLo, featHi)
+	}
+	return f.findVec(hist, totalG, totalH, numBins, featLo, featHi)
+}
 
-	featG := make([]float64, c)
-	featH := make([]float64, c)
-	missG := make([]float64, c)
-	missH := make([]float64, c)
-	leftG := make([]float64, c)
-	leftH := make([]float64, c)
-	rightG := make([]float64, c)
-	rightH := make([]float64, c)
+// slotBins returns slot feat's bin range in hist and its candidate count.
+func slotBins(hist *Hist, numBins []int, feat int) (lo, hi, nb int) {
+	off := *hist.off
+	lo, hi = off[feat], off[feat+1]
+	nb = hi - lo
+	if numBins != nil {
+		nb = numBins[feat]
+	}
+	return lo, hi, nb
+}
 
+// findScalar is FindBestInRange for NumClass == 1, on scalars. The plain
+// scan's one-class sums start from +0; dropping that addition can change
+// only the sign of a zero score, which no valid gain (> minSplitGain)
+// depends on.
+func (f *Finder) findScalar(hist *Hist, totalG, totalH float64, numBins []int, featLo, featHi int) Split {
+	best := Split{}
+	lambda := f.Lambda
+	parentScore := totalG * totalG / (totalH + lambda)
+	skipEmpty := f.Gamma >= 0
 	for feat := featLo; feat < featHi; feat++ {
-		nb := hist.MaxBins
-		if numBins != nil {
-			nb = numBins[feat]
-		}
+		lo, hi, nb := slotBins(hist, numBins, feat)
 		if nb < 2 {
 			continue // a single bin admits no split
 		}
-		hist.FeatTotals(feat, featG, featH)
-		for k := 0; k < c; k++ {
-			missG[k] = totalG[k] - featG[k]
-			missH[k] = totalH[k] - featH[k]
+		grad, hess := hist.Grad[lo:hi], hist.Hess[lo:hi]
+		hess = hess[:len(grad)]
+		// Feature totals, summed in bin order; last is the highest
+		// non-empty bin.
+		var featG, featH float64
+		last := -1
+		for b, g := range grad {
+			featG += g
+			featH += hess[b]
+			if g != 0 || hess[b] != 0 {
+				last = b
+			}
 		}
-		missHess := sumSlice(missH)
+		if last < 0 && skipEmpty {
+			continue
+		}
+		missG, missH := totalG-featG, totalH-featH
 
 		// Prefix scan over bins; the last bin cannot be a split point
 		// (everything would go left).
-		for k := 0; k < c; k++ {
-			leftG[k] = 0
-			leftH[k] = 0
-		}
-		base := hist.offset(feat, 0)
-		var leftHess float64
+		var leftG, leftH float64
+		dirty := false
 		for bin := 0; bin < nb-1; bin++ {
-			for k := 0; k < c; k++ {
-				leftG[k] += hist.Grad[base+bin*c+k]
-				leftH[k] += hist.Hess[base+bin*c+k]
+			g, h := grad[bin], hess[bin]
+			if bin > 0 && g == 0 && h == 0 && !dirty {
+				if bin > last {
+					break // nothing further changes the prefix
+				}
+				continue
 			}
-			leftHess = sumSlice(leftH)
+			leftG += g
+			leftH += h
+			dirty = false
+
+			// Default right: missing mass joins the right child.
+			if leftH >= f.MinChildHess && totalH-leftH >= f.MinChildHess {
+				rightG, rightH := totalG-leftG, totalH-leftH
+				gain := 0.5*(leftG*leftG/(leftH+lambda)+rightG*rightG/(rightH+lambda)-parentScore) - f.Gamma
+				if gain > minSplitGain {
+					cand := Split{Feature: feat, Bin: bin, Gain: gain, DefaultLeft: false, Valid: true}
+					if Prefer(cand, best) {
+						best = cand
+					}
+				}
+			}
+			// Default left: missing mass joins the left child. Skip when
+			// there is no missing mass — identical to default right.
+			if missH > 0 && leftH+missH >= f.MinChildHess && totalH-leftH-missH >= f.MinChildHess {
+				lg, lh := leftG+missG, leftH+missH
+				rightG, rightH := totalG-lg, totalH-lh
+				gain := 0.5*(lg*lg/(lh+lambda)+rightG*rightG/(rightH+lambda)-parentScore) - f.Gamma
+				if gain > minSplitGain {
+					cand := Split{Feature: feat, Bin: bin, Gain: gain, DefaultLeft: true, Valid: true}
+					if Prefer(cand, best) {
+						best = cand
+					}
+				}
+				// Unfold the missing mass exactly as the plain scan does:
+				// the round trip can change the prefix's low bits.
+				g0, h0 := lg-missG, lh-missH
+				dirty = g0 != leftG || h0 != leftH
+				leftG, leftH = g0, h0
+			}
+		}
+	}
+	return best
+}
+
+// maxStackClass is the largest class count whose split-search scratch
+// lives on the stack; wider problems allocate it per call.
+const maxStackClass = 32
+
+// classAcc is one class's running state in findVec: node totals, the
+// feature's missing mass and the left prefix.
+type classAcc struct {
+	tg, th float64 // node totals
+	mg, mh float64 // missing mass (node totals minus feature totals)
+	lg, lh float64 // prefix over bins [0, bin]
+}
+
+// nonzero reports, for a bit-OR over the entries of one bin (each shifted
+// left by one to drop the sign), whether any entry is not ±0.
+func nonzero(g, h float64) uint64 { return (math.Float64bits(g) | math.Float64bits(h)) << 1 }
+
+// findVec is FindBestInRange for NumClass > 1. Per class it adds and
+// divides in exactly the plain scan's order (score's accumulation, the
+// fold and unfold of the missing mass), so every gain is bit-identical.
+func (f *Finder) findVec(hist *Hist, totalG, totalH []float64, numBins []int, featLo, featHi int) Split {
+	c := hist.NumClass
+	var stack [maxStackClass]classAcc
+	var acc []classAcc
+	if c <= maxStackClass {
+		acc = stack[:c]
+	} else {
+		acc = make([]classAcc, c)
+	}
+	for k := range acc {
+		acc[k].tg, acc[k].th = totalG[k], totalH[k]
+	}
+
+	best := Split{}
+	lambda := f.Lambda
+	parentScore := f.score(totalG, totalH)
+	totalHess := sumSlice(totalH)
+	skipEmpty := f.Gamma >= 0
+	for feat := featLo; feat < featHi; feat++ {
+		lo, hi, nb := slotBins(hist, numBins, feat)
+		if nb < 2 {
+			continue // a single bin admits no split
+		}
+		grad, hess := hist.Grad[lo*c:hi*c], hist.Hess[lo*c:hi*c]
+		// Feature totals, summed in bin order, land in mg/mh; last is
+		// the highest non-empty bin.
+		for k := range acc {
+			acc[k].mg, acc[k].mh = 0, 0
+		}
+		last := -1
+		for b := 0; b < hi-lo; b++ {
+			row, hrow := grad[b*c:][:len(acc)], hess[b*c:][:len(acc)]
+			var nz uint64
+			for k := range acc {
+				a := &acc[k]
+				a.mg += row[k]
+				a.mh += hrow[k]
+				nz |= nonzero(row[k], hrow[k])
+			}
+			if nz != 0 {
+				last = b
+			}
+		}
+		if last < 0 && skipEmpty {
+			continue
+		}
+		var missHess float64
+		for k := range acc {
+			a := &acc[k]
+			a.mg, a.mh = a.tg-a.mg, a.th-a.mh
+			missHess += a.mh
+			a.lg, a.lh = 0, 0
+		}
+
+		// Prefix scan over bins; the last bin cannot be a split point
+		// (everything would go left).
+		dirty := false
+		for bin := 0; bin < nb-1; bin++ {
+			row, hrow := grad[bin*c:][:len(acc)], hess[bin*c:][:len(acc)]
+			var nz uint64
+			var leftHess float64
+			for k := range acc {
+				a := &acc[k]
+				nz |= nonzero(row[k], hrow[k])
+				a.lg += row[k] // adding ±0 leaves a prefix unchanged
+				a.lh += hrow[k]
+				leftHess += a.lh
+			}
+			if bin > 0 && nz == 0 && !dirty {
+				if bin > last {
+					break // nothing further changes the prefix
+				}
+				continue
+			}
+			dirty = false
 
 			// Default right: missing mass joins the right child.
 			if leftHess >= f.MinChildHess && totalHess-leftHess >= f.MinChildHess {
-				for k := 0; k < c; k++ {
-					rightG[k] = totalG[k] - leftG[k]
-					rightH[k] = totalH[k] - leftH[k]
+				var sl, sr float64
+				for k := range acc {
+					a := &acc[k]
+					sl += a.lg * a.lg / (a.lh + lambda)
+					rg, rh := a.tg-a.lg, a.th-a.lh
+					sr += rg * rg / (rh + lambda)
 				}
-				gain := 0.5*(f.score(leftG, leftH)+f.score(rightG, rightH)-parentScore) - f.Gamma
+				gain := 0.5*(sl+sr-parentScore) - f.Gamma
 				if gain > minSplitGain {
 					cand := Split{Feature: feat, Bin: bin, Gain: gain, DefaultLeft: false, Valid: true}
 					if Prefer(cand, best) {
@@ -174,24 +345,28 @@ func (f *Finder) FindBestInRange(hist *Hist, totalG, totalH []float64, numBins [
 			// Default left: missing mass joins the left child. Skip when
 			// there is no missing mass — identical to default right.
 			if missHess > 0 && leftHess+missHess >= f.MinChildHess && totalHess-leftHess-missHess >= f.MinChildHess {
-				for k := 0; k < c; k++ {
-					lg := leftG[k] + missG[k]
-					lh := leftH[k] + missH[k]
-					rightG[k] = totalG[k] - lg
-					rightH[k] = totalH[k] - lh
-					leftG[k] = lg // temporarily fold missing in
-					leftH[k] = lh
+				var sl, sr float64
+				for k := range acc {
+					a := &acc[k]
+					fg, fh := a.lg+a.mg, a.lh+a.mh
+					sl += fg * fg / (fh + lambda)
+					rg, rh := a.tg-fg, a.th-fh
+					sr += rg * rg / (rh + lambda)
+					// Unfold the missing mass exactly as the plain scan
+					// does: the round trip can change the prefix's low
+					// bits.
+					g0, h0 := fg-a.mg, fh-a.mh
+					if g0 != a.lg || h0 != a.lh {
+						dirty = true
+					}
+					a.lg, a.lh = g0, h0
 				}
-				gain := 0.5*(f.score(leftG, leftH)+f.score(rightG, rightH)-parentScore) - f.Gamma
+				gain := 0.5*(sl+sr-parentScore) - f.Gamma
 				if gain > minSplitGain {
 					cand := Split{Feature: feat, Bin: bin, Gain: gain, DefaultLeft: true, Valid: true}
 					if Prefer(cand, best) {
 						best = cand
 					}
-				}
-				for k := 0; k < c; k++ { // restore the prefix
-					leftG[k] -= missG[k]
-					leftH[k] -= missH[k]
 				}
 			}
 		}

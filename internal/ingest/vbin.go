@@ -348,26 +348,15 @@ func decodeCache(h vbinHeader, payload []byte, name string) (*datasets.Dataset, 
 	if err := need(4 * nnz); err != nil {
 		return nil, err
 	}
-	inst := make([]uint32, nnz)
-	for k := range inst {
-		inst[k] = binary.LittleEndian.Uint32(payload[off:])
-		off += 4
-	}
+	// The instance and bin arrays are read in place from the payload by
+	// the transpose below.
+	inst := payload[off : off+4*nnz]
+	off += 4 * nnz
 	if err := need(binWidth * nnz); err != nil {
 		return nil, err
 	}
-	bins := make([]uint16, nnz)
-	if binWidth == 1 {
-		for k := range bins {
-			bins[k] = uint16(payload[off])
-			off++
-		}
-	} else {
-		for k := range bins {
-			bins[k] = binary.LittleEndian.Uint16(payload[off:])
-			off += 2
-		}
-	}
+	bins := payload[off : off+binWidth*nnz]
+	off += binWidth * nnz
 	if err := need(4 * rows); err != nil {
 		return nil, err
 	}
@@ -382,44 +371,48 @@ func decodeCache(h vbinHeader, payload []byte, name string) (*datasets.Dataset, 
 
 	// Transpose the binned columns back into a raw CSR of representative
 	// values: entry (i, f, b) becomes value splits[f][b] (NaN for features
-	// binned without splits, i.e. NaN-only columns).
-	rowCnt := make([]int64, rows+1)
+	// binned without splits, i.e. NaN-only columns). rowPtr first counts
+	// each row's entries at rowPtr[i+1], then its prefix sums make
+	// rowPtr[i] row i's fill cursor; after the fill every cursor sits on
+	// the next row's start, and one shift restores the row starts.
+	rowPtr := make([]int64, rows+1)
 	for j := 0; j < cols; j++ {
 		if colPtr[j] > colPtr[j+1] || colPtr[j+1] > int64(nnz) {
 			return nil, corruptf("colPtr not monotone at column %d", j)
 		}
 		for k := colPtr[j]; k < colPtr[j+1]; k++ {
-			if int(inst[k]) >= rows {
-				return nil, corruptf("instance %d out of range (rows=%d)", inst[k], rows)
+			i := binary.LittleEndian.Uint32(inst[4*k:])
+			if int(i) >= rows {
+				return nil, corruptf("instance %d out of range (rows=%d)", i, rows)
 			}
-			rowCnt[inst[k]+1]++
+			rowPtr[i+1]++
 		}
 	}
-	rowPtr := make([]int64, rows+1)
 	for i := 0; i < rows; i++ {
-		rowPtr[i+1] = rowPtr[i] + rowCnt[i+1]
+		rowPtr[i+1] += rowPtr[i]
 	}
 	feat := make([]uint32, nnz)
 	val := make([]float32, nnz)
-	next := make([]int64, rows)
-	copy(next, rowPtr[:rows])
 	nan := float32(math.NaN())
 	for j := 0; j < cols; j++ {
 		s := splits[j]
 		for k := colPtr[j]; k < colPtr[j+1]; k++ {
-			i := inst[k]
-			p := next[i]
+			i := binary.LittleEndian.Uint32(inst[4*k:])
+			b := binAt(bins, binWidth, k)
+			p := rowPtr[i]
 			feat[p] = uint32(j)
-			if int(bins[k]) < len(s) {
-				val[p] = s[bins[k]]
-			} else if len(s) == 0 && bins[k] == 0 {
+			if b < len(s) {
+				val[p] = s[b]
+			} else if len(s) == 0 && b == 0 {
 				val[p] = nan
 			} else {
-				return nil, corruptf("bin %d of feature %d out of range (%d bins)", bins[k], j, len(s))
+				return nil, corruptf("bin %d of feature %d out of range (%d bins)", b, j, len(s))
 			}
-			next[i] = p + 1
+			rowPtr[i] = p + 1
 		}
 	}
+	copy(rowPtr[1:], rowPtr[:rows])
+	rowPtr[0] = 0
 	x, err := sparse.NewCSR(rows, cols, rowPtr, feat, val)
 	if err != nil {
 		return nil, corruptf("%v", err)
@@ -447,6 +440,14 @@ func decodeCache(h vbinHeader, payload []byte, name string) (*datasets.Dataset, 
 			Quantized: true,
 		},
 	}, nil
+}
+
+// binAt reads entry k of a payload bin array of binWidth-byte codes.
+func binAt(bins []byte, binWidth int, k int64) int {
+	if binWidth == 1 {
+		return int(bins[k])
+	}
+	return int(binary.LittleEndian.Uint16(bins[2*k:]))
 }
 
 // ReadCacheFile reads a .vbin cache from disk; the dataset is named after

@@ -282,8 +282,8 @@ func TestReadCacheFileAllocs(t *testing.T) {
 	}
 	rows, cols, nnz := int64(h.rows), int64(h.cols), h.nnz
 	decoded := cols*(8+24+8) + 8*(cols+1) + 4*int64(h.q)*cols + // counts, split slices, featCount, colPtr
-		nnz*(4+2+4+4) + // inst, bins, feat, val
-		rows*4 + 3*8*(rows+1) // labels, rowCnt, rowPtr, next
+		nnz*(4+4) + // feat, val
+		rows*4 + 8*(rows+1) // labels, rowPtr
 	bound := st.Size() + decoded + 64<<10
 
 	if _, err := ReadCacheFile(path); err != nil { // warm up lazily initialized state

@@ -106,7 +106,6 @@ type ByteReport struct {
 type Shard struct {
 	Worker   int
 	Features []int // slot -> global feature id
-	NumBins  []int // candidate-split count per slot
 	Data     *BlockSet
 	Labels   []float32
 }
@@ -323,14 +322,9 @@ func transformGrouped(cl *cluster.Cluster, x *sparse.CSR, labels []float32, opts
 			return
 		}
 		bs.Merge(opts.MaxBlocks)
-		numBins := make([]int, len(groups[dst]))
-		for slot, f := range groups[dst] {
-			numBins[slot] = len(binner.Splits[f])
-		}
 		shards[dst] = &Shard{
 			Worker:   dst,
 			Features: groups[dst],
-			NumBins:  numBins,
 			Data:     bs,
 			Labels:   labels,
 		}

@@ -140,15 +140,10 @@ func TransformSharded(cl *cluster.Cluster, x *sparse.CSR, labels []float32, sh *
 		return nil, err
 	}
 	bs.Merge(opts.MaxBlocks)
-	numBins := make([]int, len(groups[rank]))
-	for slot, f := range groups[rank] {
-		numBins[slot] = len(binner.Splits[f])
-	}
 	shards := make([]*Shard, w)
 	shards[rank] = &Shard{
 		Worker:   rank,
 		Features: groups[rank],
-		NumBins:  numBins,
 		Data:     bs,
 		Labels:   labels,
 	}

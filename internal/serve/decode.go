@@ -81,7 +81,8 @@ type predictScratch struct {
 	feats [][]uint32
 	vals  [][]float32
 
-	out []byte // the encoded response
+	margins []float64 // the scores of an unbatched request
+	out     []byte    // the encoded response
 }
 
 // span is an emulated Go slice of length len whose written elements live
@@ -107,6 +108,7 @@ func putScratch(sc *predictScratch) {
 	sc.dense = reuse(sc.dense)
 	sc.feats = reuse(sc.feats)
 	sc.vals = reuse(sc.vals)
+	sc.margins = reuse(sc.margins)
 	sc.out = reuse(sc.out)
 	scratchPool.Put(sc)
 }

@@ -46,6 +46,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -408,7 +409,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		margins, batched = h.batcher.enqueue(sc.feats[0], sc.vals[0])
 	}
 	if !batched {
-		margins = h.pred.PredictRows(sc.feats, sc.vals)
+		n := len(sc.feats) * h.pred.NumClass()
+		sc.margins = slices.Grow(sc.margins[:0], n)[:n]
+		h.pred.PredictRowsInto(sc.feats, sc.vals, sc.margins)
+		margins = sc.margins
 	}
 	var probs []float64
 	if sc.proba {

@@ -269,9 +269,9 @@ func (bf *BinnedForest) PredictRow(feat []uint32, val []float32) []float64 {
 // Margins are bit-identical to the float engine on every row.
 func (bf *BinnedForest) PredictBlock(feats [][]uint32, vals [][]float32, out []float64, block int) {
 	if bf.e8 != nil {
-		bf.e8.predictBlockRange(sliceRows{feats, vals}, 0, len(feats), out, block)
+		bf.e8.predictBlockRange(rowSource{feats: feats, vals: vals}, 0, len(feats), out, block)
 	} else {
-		bf.e16.predictBlockRange(sliceRows{feats, vals}, 0, len(feats), out, block)
+		bf.e16.predictBlockRange(rowSource{feats: feats, vals: vals}, 0, len(feats), out, block)
 	}
 }
 
@@ -288,9 +288,9 @@ func (bf *BinnedForest) PredictCSRBlocked(m *sparse.CSR, workers, block int) []f
 	chunk := ((batchRows + block - 1) / block) * block
 	fn := func(lo, hi int) {
 		if bf.e8 != nil {
-			bf.e8.predictBlockRange(m, lo, hi, out, block)
+			bf.e8.predictBlockRange(rowSource{csr: m}, lo, hi, out, block)
 		} else {
-			bf.e16.predictBlockRange(m, lo, hi, out, block)
+			bf.e16.predictBlockRange(rowSource{csr: m}, lo, hi, out, block)
 		}
 	}
 	parallelRowRanges(rows, chunk, workers, fn)

@@ -276,7 +276,7 @@ func (ff *FlatForest) PredictCSR(m *sparse.CSR, workers int) []float64 {
 		return out
 	}
 	parallelRowRanges(rows, batchRows, workers, func(lo, hi int) {
-		ff.predictRange(m, lo, hi, out)
+		ff.predictRange(rowSource{csr: m}, lo, hi, out)
 	})
 	return out
 }
@@ -393,20 +393,23 @@ func (s *blockImage) clear() {
 	s.touched = s.touched[:0]
 }
 
-// rowSource abstracts the two batch input forms (CSR matrices and
-// per-row slice pairs) for the blocked kernel; Row is called once per row
-// per block, so the indirect call is off the hot path.
-type rowSource interface {
-	Row(i int) (feat []uint32, val []float32)
-}
-
-// sliceRows adapts parallel per-row feature/value slices to a rowSource.
-type sliceRows struct {
+// rowSource is a batch in either input form the kernels score: a CSR
+// matrix, or parallel per-row feature/value slices. It is a concrete
+// value, so passing one boxes nothing and a warm scoring call allocates
+// nothing.
+type rowSource struct {
+	csr   *sparse.CSR
 	feats [][]uint32
 	vals  [][]float32
 }
 
-func (s sliceRows) Row(i int) ([]uint32, []float32) { return s.feats[i], s.vals[i] }
+// Row returns row i's feature ids and values.
+func (s rowSource) Row(i int) (feat []uint32, val []float32) {
+	if s.csr != nil {
+		return s.csr.Row(i)
+	}
+	return s.feats[i], s.vals[i]
+}
 
 // blockSize clamps a requested block size to [1, maxBlockCells/F].
 func (ff *FlatForest) blockSize(block int) int {
@@ -428,7 +431,7 @@ func (ff *FlatForest) blockSize(block int) int {
 // instance blocks of `block` rows (<=0 means DefaultBlockRows)
 // tree-by-tree. Margins are bit-identical to PredictRow on every row.
 func (ff *FlatForest) PredictBlock(feats [][]uint32, vals [][]float32, out []float64, block int) {
-	ff.predictBlockRange(sliceRows{feats, vals}, 0, len(feats), out, block)
+	ff.predictBlockRange(rowSource{feats: feats, vals: vals}, 0, len(feats), out, block)
 }
 
 // PredictCSRBlocked is PredictCSR through the blocked kernel: raw scores
@@ -445,7 +448,7 @@ func (ff *FlatForest) PredictCSRBlocked(m *sparse.CSR, workers, block int) []flo
 	// A parallel work unit is a whole number of blocks.
 	chunk := ((batchRows + block - 1) / block) * block
 	parallelRowRanges(rows, chunk, workers, func(lo, hi int) {
-		ff.predictBlockRange(m, lo, hi, out, block)
+		ff.predictBlockRange(rowSource{csr: m}, lo, hi, out, block)
 	})
 	return out
 }

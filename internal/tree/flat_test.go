@@ -272,3 +272,35 @@ func BenchmarkFlatCompile(b *testing.B) {
 		Compile(f)
 	}
 }
+
+// TestPredictBlockAllocatesNothing: once the scratch pools are warm, a
+// scoring call into a caller-owned buffer allocates nothing, on both the
+// per-row path (batches under blockedMinRows) and the blocked path, float
+// and binned.
+func TestPredictBlockAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries")
+	}
+	rng := rand.New(rand.NewSource(5))
+	const d = 24
+	splits := randomSplits(rng, d, 20)
+	f := binnedRandomForest(t, rng, splits, 10, 6, 3)
+	ff := Compile(f)
+	bf, err := ff.CompileBinned(f.Splits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats, vals := boundaryRows(rng, splits, 64, 0.5)
+	out := make([]float64, 64*3)
+	for _, rows := range []int{1, 64} {
+		for name, score := range map[string]func(){
+			"float":  func() { ff.PredictBlock(feats[:rows], vals[:rows], out[:rows*3], 0) },
+			"binned": func() { bf.PredictBlock(feats[:rows], vals[:rows], out[:rows*3], 0) },
+		} {
+			score() // warm the pools
+			if n := testing.AllocsPerRun(50, score); n != 0 {
+				t.Errorf("%s, %d rows: %v allocations per call, want 0", name, rows, n)
+			}
+		}
+	}
+}
